@@ -59,10 +59,6 @@ def _series_lines(series, basis: str = "power") -> list[str]:
     return lines or ["(zero)"]
 
 
-def _schur_series_json(series) -> dict:
-    return series.to_json(basis="schur")
-
-
 def _stratum_json(ec) -> dict:
     bins = []
     for (m, w) in sorted(ec.bins):
@@ -286,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_rows_check)
 
     p = sub.add_parser("fiber", help="sign component of the fiber power cohomology")
-    common(p, points=(2, genus1_fiber.MAX_FIBER_POINTS))
+    common(p, points=(2, pipeline.MAX_POINTS))
     p.set_defaults(fn=_cmd_fiber)
 
     p = sub.add_parser("open-stratum", help="equivariant weight table of the open stratum")

@@ -12,7 +12,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache
 
 # Set partitions of larger ground sets are never needed here and the
@@ -304,26 +303,6 @@ def cycle_type(perm: tuple[int, ...]) -> Partition:
 def compose_perms(sigma: tuple[int, ...], tau: tuple[int, ...]) -> tuple[int, ...]:
     """(sigma o tau)(i) = sigma(tau(i))."""
     return tuple(sigma[tau[i - 1] - 1] for i in range(1, len(sigma) + 1))
-
-
-def adjacent_transposition_word(perm: tuple[int, ...]) -> list[int]:
-    """Write perm as a composition of adjacent transpositions.
-
-    Returns indices [i1,...,ik] meaning perm = t_{ik} o ... o t_{i1} where
-    t_i swaps i and i+1.  Obtained by bubble sort; swapping the entries at
-    positions j, j+1 of the one-line word multiplies by t_j on the right.
-    """
-    w = list(perm)
-    word: list[int] = []
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(w) - 1):
-            if w[j] > w[j + 1]:
-                w[j], w[j + 1] = w[j + 1], w[j]
-                word.append(j + 1)
-                changed = True
-    return word
 
 
 def apply_perm_to_set_partition(perm: tuple[int, ...], p: SetPartition) -> SetPartition:

@@ -29,7 +29,6 @@ from . import symfunc as sf
 from .combinatorics import (
     Partition,
     divisors,
-    euler_phi,
     moebius,
     partitions_of,
     z_of,

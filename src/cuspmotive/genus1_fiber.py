@@ -2,229 +2,63 @@
 
 The open stratum of interest is the complement of the big diagonals in the
 (n-1)-st power of a pointed genus-one curve E: configurations
-(0, x_2, ..., x_n) with all coordinates distinct.  H^*(E^(n-1)) is the
-(n-1)-st graded tensor power of H^*(E) = <1, alpha, beta, point> with
-
-    |1| = 0,  |alpha| = |beta| = 1,  |point| = 2,
-    alpha . beta = point,  alpha^2 = beta^2 = 0,
-
-and SL_2-weights +1 for alpha and -1 for beta.  Basis elements are words
-over the four letters, one letter per coordinate slot (slot t holds the
-class pulled back from coordinate x_(t+2)).  Products follow the Koszul
-rule: letters anticommute when both are odd, across slots as well as
-inside a slot, so for words u, v the sign is
-(-1)^(sum over pairs k < j of |v_k| |u_j|).
-
-Transpositions (i, i+1) with i >= 2 just swap two slots, with a Koszul
-sign.  The transposition (1 2) moves the marked point: it sends
-(0, x_2, x_3, ...) to (0, -x_2, x_3 - x_2, ...), so on classes from the
-first slot it is the inversion, and on a class z from slot t >= 1 it
-pulls back to (slot-t copy of z) minus (slot-0 copy of z), with the
-degree-2 letter expanding by the Kuenneth formula.
-
-Worked example at n = 3 (slots for x_2, x_3): writing a@0 for alpha in
-slot 0, the action of (1 2) gives
-
-    a@0          |->  -a@0
-    a@1          |->  a@1 - a@0
-    a@0 . b@1    |->  (-a@0)(b@1 - b@0) = p@0 - a@0 . b@1
-
-where a@0 . b@0 = p@0 by the in-slot product.  Every permutation action
-is composed from these generators; the Coxeter relations are verified in
-the test suite rather than assumed.
+(0, x_2, ..., x_n) with all coordinates distinct.  As a graded S_n-module,
+H^*(E^(n-1)) is the exterior algebra on V (x) std, where V = H^1(E) has
+SL_2-weights +1 and -1 and std is the reduced permutation representation
+(Getzler, "Resolving mixed Hodge modules on configuration spaces", 1999).
+Graded traces are therefore products over the cycles of a permutation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
 
 from .combinatorics import (
     Partition,
-    adjacent_transposition_word,
     class_sign,
     cycle_type,
     partitions_of,
     perm_from_cycle_type,
-    set_partitions_of,
     stable_poset_mobius,
     stable_set_partitions,
     z_of,
 )
 from .motive import MotiveClass
 
-MAX_FIBER_POINTS = 7
 MAX_STRATUM_POINTS = 6
 
-# letters: 0 = unit, 1 = alpha, 2 = beta, 3 = point
-DEG = (0, 1, 1, 2)
-WT = (0, 1, -1, 0)
-LETTER_NAMES = ("1", "a", "b", "p")
 
-_SLOT_MUL = {
-    (0, 0): (1, 0),
-    (0, 1): (1, 1),
-    (0, 2): (1, 2),
-    (0, 3): (1, 3),
-    (1, 0): (1, 1),
-    (2, 0): (1, 2),
-    (3, 0): (1, 3),
-    (1, 2): (1, 3),
-    (2, 1): (-1, 3),
-}
-
-
-def word_degree(w) -> int:
-    return sum(DEG[x] for x in w)
-
-
-def word_weight(w) -> int:
-    return sum(WT[x] for x in w)
-
-
-def word_mul(u, v):
-    """Product of basis words: (sign, word), or None when it vanishes."""
-    exp = 0
-    odd_v_prefix = 0
-    letters = []
-    for a, b in zip(u, v):
-        if DEG[a] & 1:
-            exp += odd_v_prefix
-        if DEG[b] & 1:
-            odd_v_prefix += 1
-        got = _SLOT_MUL.get((a, b))
-        if got is None:
-            return None
-        s, c = got
-        if s < 0:
-            exp += 1
-        letters.append(c)
-    return ((-1) ** (exp & 1), tuple(letters))
-
-
-class FiberAlgebra:
-    """The graded algebra H^*(E^(n-1)) on its word basis."""
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        self.n = n
-
-    @property
-    def dimension(self) -> int:
-        return 4 ** (self.n - 1)
-
-    def words(self):
-        return product(range(4), repeat=self.n - 1)
-
-    degree = staticmethod(word_degree)
-    weight = staticmethod(word_weight)
-    mul = staticmethod(word_mul)
-
-
-def _combo_mul(a: dict, b: dict) -> dict:
+def _poly_mul(a: dict, b: dict) -> dict:
     out: dict = {}
-    for u, cu in a.items():
-        for v, cv in b.items():
-            got = word_mul(u, v)
-            if got is None:
-                continue
-            s, w = got
-            out[w] = out.get(w, 0) + s * cu * cv
-    return {w: c for w, c in out.items() if c}
-
-
-def _apply_map(mp: dict, combo: dict) -> dict:
-    out: dict = {}
-    for w, c in combo.items():
-        for w2, c2 in mp[w].items():
-            out[w2] = out.get(w2, 0) + c * c2
-    return {w: c for w, c in out.items() if c}
-
-
-def _placed(n: int, placements) -> tuple:
-    word = [0] * (n - 1)
-    for slot, letter in placements:
-        word[slot] = letter
-    return tuple(word)
-
-
-def _tau_slot_image(n: int, t: int, letter: int) -> dict:
-    """Image of a single-slot class under the (1 2) pullback."""
-    if letter == 0:
-        return {_placed(n, ()): 1}
-    if t == 0:
-        # inversion on the slot of x_2: -1 on odd letters
-        sign = -1 if DEG[letter] & 1 else 1
-        return {_placed(n, ((0, letter),)): sign}
-    if letter in (1, 2):
-        return {
-            _placed(n, ((0, letter),)): -1,
-            _placed(n, ((t, letter),)): 1,
-        }
-    # letter == 3: the point class expands by Kuenneth
-    return {
-        _placed(n, ((0, 3),)): 1,
-        _placed(n, ((0, 1), (t, 2))): -1,
-        _placed(n, ((0, 2), (t, 1))): 1,
-        _placed(n, ((t, 3),)): 1,
-    }
-
-
-@cache
-def transposition_action(n: int, i: int) -> dict:
-    """Pullback of the transposition (i, i+1) as a map on basis words.
-
-    Returned as a dict from each word to its image combination.
-    """
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"need 1 <= i <= {n - 1}, got {i}")
-    alg = FiberAlgebra(n)
-    out = {}
-    if i >= 2:
-        s, t = i - 2, i - 1
-        for w in alg.words():
-            img = list(w)
-            img[s], img[t] = img[t], img[s]
-            sign = -1 if (DEG[w[s]] & 1) and (DEG[w[t]] & 1) else 1
-            out[w] = {tuple(img): sign}
-        return out
-    for w in alg.words():
-        combo = {_placed(n, ()): 1}
-        for t, letter in enumerate(w):
-            combo = _combo_mul(combo, _tau_slot_image(n, t, letter))
-        out[w] = combo
-    return out
-
-
-def permutation_action(n: int, perm) -> dict:
-    """Pullback map of an arbitrary permutation, composed from generators."""
-    dec = adjacent_transposition_word(tuple(perm))
-    gens = [transposition_action(n, i) for i in dec]
-    out = {}
-    for w in FiberAlgebra(n).words():
-        combo = {w: 1}
-        for g in reversed(gens):
-            combo = _apply_map(g, combo)
-        out[w] = combo
-    return out
+    for (d1, w1), c1 in a.items():
+        for (d2, w2), c2 in b.items():
+            key = (d1 + d2, w1 + w2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
 
 
 @cache
 def graded_traces(n: int, ct) -> dict:
-    """Trace of a cycle-type-ct permutation per (degree, weight) block."""
+    """Trace of a cycle-type-ct permutation per (degree, weight) block.
+
+    With u marking degree and x marking weight, the generating function is
+    prod over cycles k of (1 - (-ux)^k)(1 - (-u/x)^k), divided by
+    (1 + ux)(1 + u/x) to remove the trivial summand of the permutation
+    representation.  The division is exact against the first cycle, whose
+    factor becomes sum_(i<k) (-ux)^i times sum_(i<k) (-u/x)^i.
+    """
     ct = Partition(ct)
     if ct.size != n:
         raise ValueError("cycle type size mismatch")
-    mp = permutation_action(n, perm_from_cycle_type(ct))
-    traces: dict[tuple[int, int], int] = {}
-    for w, combo in mp.items():
-        d = combo.get(w)
-        if d:
-            key = (word_degree(w), word_weight(w))
-            traces[key] = traces.get(key, 0) + d
+    first, *rest = ct
+    traces = {(0, 0): 1}
+    for sign in (1, -1):
+        traces = _poly_mul(traces, {(i, sign * i): (-1) ** i for i in range(first)})
+        for k in rest:
+            traces = _poly_mul(traces, {(0, 0): 1, (k, sign * k): (-1) ** (k + 1)})
     return traces
 
 
@@ -234,23 +68,23 @@ def alternating_component(n: int) -> dict:
     Computed as the trace of the exact averaging projector
     (1/n!) sum sgn(sigma) sigma^*, class by class.
     """
-    if not 2 <= n <= MAX_FIBER_POINTS:
-        raise ValueError(f"alternating_component supports 2 <= n <= {MAX_FIBER_POINTS}")
-    import math
-
-    acc: dict[tuple[int, int], Fraction] = {}
+    if n < 2:
+        raise ValueError("alternating_component needs n >= 2")
+    order = math.factorial(n)
+    acc: dict[tuple[int, int], int] = {}
     for lam in partitions_of(n):
-        size = math.factorial(n) // z_of(lam)
-        sign = class_sign(lam)
+        weight = class_sign(lam) * (order // z_of(lam))
         for key, tr in graded_traces(n, lam).items():
-            acc[key] = acc.get(key, Fraction(0)) + Fraction(sign * size * tr)
+            acc[key] = acc.get(key, 0) + weight * tr
     out = {}
-    for key, v in acc.items():
-        v = v / math.factorial(n)
-        if v.denominator != 1 or v < 0:
-            raise RuntimeError(f"projector trace is not a dimension at {key}: {v}")
+    for key, total in acc.items():
+        v, rem = divmod(total, order)
+        if rem or v < 0:
+            raise RuntimeError(
+                f"projector trace is not a dimension at {key}: {Fraction(total, order)}"
+            )
         if v:
-            out[key] = int(v)
+            out[key] = v
     return out
 
 
@@ -378,15 +212,6 @@ def interior_alternating(n: int) -> MotiveClass:
         raise ValueError("n must be >= 1")
     sign = (-1) ** (n - 1)
     return local_system_euler(n - 1) * sign
-
-
-def interior_alt_series(max_degree: int):
-    """Alternating series of the interior: sum_n interior_alternating(n) t^n."""
-    from .symfunc import AltSeries
-
-    return AltSeries(
-        max_degree, {n: interior_alternating(n) for n in range(1, max_degree + 1)}
-    )
 
 
 def interior_exact_series(max_degree: int):

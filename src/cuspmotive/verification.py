@@ -9,7 +9,6 @@ the package's own memoization.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,9 +19,6 @@ from .combinatorics import (
     Partition,
     character,
     character_dimension,
-    class_sign,
-    compose_perms,
-    identity_perm,
     partitions_of,
     z_of,
 )
@@ -164,7 +160,7 @@ def check_interior(max_degree: int = 14, stratum_max: int = 6) -> CheckResult:
     return _run("interior", body)
 
 
-def check_alternating_component(n_max: int = 6) -> CheckResult:
+def check_alternating_component(n_max: int = pipeline.MAX_POINTS) -> CheckResult:
     def body():
         for n in range(2, n_max + 1):
             dims = genus1_fiber.alternating_component(n)
@@ -467,47 +463,28 @@ def property_character_orthogonality(n_max: int = 8) -> int:
     return cases
 
 
-def property_action_relations(cases: int = 100, seed: int = 99) -> int:
-    """Coxeter relations for all generators (n <= 5) plus random
-    contravariance checks of composed actions."""
-    total = 0
-
-    def compose_maps(a, b):
-        return {w: genus1_fiber._apply_map(a, combo) for w, combo in b.items()}
-
-    for n in range(2, 6):
-        ident = {w: {w: 1} for w in genus1_fiber.FiberAlgebra(n).words()}
-        gens = {i: genus1_fiber.transposition_action(n, i) for i in range(1, n)}
-        for i in range(1, n):
-            _expect(compose_maps(gens[i], gens[i]) == ident, f"square {n},{i}")
-            total += 1
-        for i in range(1, n - 1):
-            lhs = compose_maps(compose_maps(gens[i], gens[i + 1]), gens[i])
-            rhs = compose_maps(compose_maps(gens[i + 1], gens[i]), gens[i + 1])
-            _expect(lhs == rhs, f"braid {n},{i}")
-            total += 1
-        for i in range(1, n):
-            for j in range(i + 2, n):
-                _expect(
-                    compose_maps(gens[i], gens[j]) == compose_maps(gens[j], gens[i]),
-                    f"commute {n},{i},{j}",
+def property_fiber_characters(n_max: int = 7) -> int:
+    """Each (degree, weight) block of the fiber traces is a genuine
+    representation: its multiplicities against the irreducible characters
+    are non-negative integers, and the identity traces total 4^(n-1)."""
+    cases = 0
+    for n in range(2, n_max + 1):
+        parts = partitions_of(n)
+        traces = {mu: genus1_fiber.graded_traces(n, mu) for mu in parts}
+        dims = traces[Partition((1,) * n)]
+        _expect(sum(dims.values()) == 4 ** (n - 1), f"n={n}: total dimension")
+        for block in dims:
+            for lam in parts:
+                mult = sum(
+                    Fraction(character(lam, mu) * traces[mu].get(block, 0), z_of(mu))
+                    for mu in parts
                 )
-                total += 1
-    rng = random.Random(seed)
-    for _ in range(cases):
-        n = rng.randint(2, 5)
-        sig = list(identity_perm(n))
-        rng.shuffle(sig)
-        tau = list(identity_perm(n))
-        rng.shuffle(tau)
-        sig, tau = tuple(sig), tuple(tau)
-        m_prod = genus1_fiber.permutation_action(n, compose_perms(sig, tau))
-        m_s = genus1_fiber.permutation_action(n, sig)
-        m_t = genus1_fiber.permutation_action(n, tau)
-        composed = {w: genus1_fiber._apply_map(m_t, combo) for w, combo in m_s.items()}
-        _expect(m_prod == composed, f"contravariance {sig} {tau}")
-        total += 1
-    return total
+                _expect(
+                    mult.denominator == 1 and mult >= 0,
+                    f"n={n}, block {block}: multiplicity of {tuple(lam)} is {mult}",
+                )
+                cases += 1
+    return cases
 
 
 def property_b0_palindromic(max_degree: int = 12) -> int:
@@ -530,7 +507,7 @@ def check_property_suites() -> CheckResult:
             "sign-free-composition": property_sign_free_composition(),
             "plethysm-associative": property_plethysm_associative(),
             "character-orthogonality": property_character_orthogonality(),
-            "action-relations": property_action_relations(),
+            "fiber-characters": property_fiber_characters(),
             "b0-palindromic": property_b0_palindromic(),
         }
         weak = {k: v for k, v in counts.items() if v < 100}

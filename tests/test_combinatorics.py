@@ -6,7 +6,6 @@ from cuspmotive.combinatorics import (
     MAX_SET_PARTITION_GROUND,
     Partition,
     SetPartition,
-    adjacent_transposition_word,
     apply_perm_to_set_partition,
     bell_number,
     character,
@@ -173,18 +172,6 @@ def test_perm_utilities():
     assert compose_perms(ident, tau) == tau
     for lam in partitions_of(5):
         assert cycle_type(perm_from_cycle_type(lam)) == lam
-
-
-def test_adjacent_transposition_word_reconstructs():
-    for lam in partitions_of(5):
-        sigma = perm_from_cycle_type(lam)
-        word = adjacent_transposition_word(sigma)
-        acc = identity_perm(5)
-        for i in word:
-            t = list(identity_perm(5))
-            t[i - 1], t[i] = t[i], t[i - 1]
-            acc = compose_perms(tuple(t), acc)
-        assert acc == sigma
 
 
 def test_stable_set_partitions_counts():

@@ -1,11 +1,12 @@
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
+import fiber_words as fw
 import pytest
 
-from cuspmotive import genus1_fiber as fib
+from cuspmotive import cli, genus1_fiber as fib, pipeline
 from cuspmotive.combinatorics import (
     Partition,
     class_sign,
@@ -13,6 +14,7 @@ from cuspmotive.combinatorics import (
     cycle_type,
     identity_perm,
     partitions_of,
+    perm_from_cycle_type,
 )
 from cuspmotive.motive import L, ONE, MotiveClass
 
@@ -22,35 +24,35 @@ def P(*parts):
 
 
 def test_word_grading():
-    assert fib.word_degree((1, 2, 3)) == 4
-    assert fib.word_weight((1, 2, 3)) == 0
-    assert fib.word_weight((1, 1)) == 2
+    assert fw.word_degree((1, 2, 3)) == 4
+    assert fw.word_weight((1, 2, 3)) == 0
+    assert fw.word_weight((1, 1)) == 2
 
 
 def test_word_mul_slotwise_relations():
     # alpha * beta = point, beta * alpha = -point, squares vanish
-    assert fib.word_mul((1,), (2,)) == (1, (3,))
-    assert fib.word_mul((2,), (1,)) == (-1, (3,))
-    assert fib.word_mul((1,), (1,)) is None
-    assert fib.word_mul((3,), (3,)) is None
-    assert fib.word_mul((0,), (3,)) == (1, (3,))
+    assert fw.word_mul((1,), (2,)) == (1, (3,))
+    assert fw.word_mul((2,), (1,)) == (-1, (3,))
+    assert fw.word_mul((1,), (1,)) is None
+    assert fw.word_mul((3,), (3,)) is None
+    assert fw.word_mul((0,), (3,)) == (1, (3,))
 
 
 def test_word_mul_koszul_cross_slot():
     # odd letter passing an odd letter in an earlier slot picks up a sign
-    assert fib.word_mul((1, 0), (0, 2)) == (1, (1, 2))
-    assert fib.word_mul((0, 2), (1, 0)) == (-1, (1, 2))
+    assert fw.word_mul((1, 0), (0, 2)) == (1, (1, 2))
+    assert fw.word_mul((0, 2), (1, 0)) == (-1, (1, 2))
 
 
 def test_word_mul_graded_commutative():
     rng = random.Random(7)
-    words = list(fib.FiberAlgebra(3).words())
+    words = list(fw.FiberAlgebra(3).words())
     for _ in range(300):
         u = rng.choice(words)
         v = rng.choice(words)
-        uv = fib.word_mul(u, v)
-        vu = fib.word_mul(v, u)
-        sign = (-1) ** (fib.word_degree(u) * fib.word_degree(v))
+        uv = fw.word_mul(u, v)
+        vu = fw.word_mul(v, u)
+        sign = (-1) ** (fw.word_degree(u) * fw.word_degree(v))
         if uv is None:
             assert vu is None
         else:
@@ -61,23 +63,23 @@ def test_word_mul_graded_commutative():
 
 def test_word_mul_associative():
     rng = random.Random(13)
-    words = list(fib.FiberAlgebra(3).words())
+    words = list(fw.FiberAlgebra(3).words())
 
     def as_combo(res):
         return {} if res is None else {res[1]: res[0]}
 
     for _ in range(200):
         u, v, w = (rng.choice(words) for _ in range(3))
-        uv = fib.word_mul(u, v)
+        uv = fw.word_mul(u, v)
         left = {}
         if uv is not None:
-            res = fib.word_mul(uv[1], w)
+            res = fw.word_mul(uv[1], w)
             if res is not None:
                 left = {res[1]: res[0] * uv[0]}
-        vw = fib.word_mul(v, w)
+        vw = fw.word_mul(v, w)
         right = {}
         if vw is not None:
-            res = fib.word_mul(u, vw[1])
+            res = fw.word_mul(u, vw[1])
             if res is not None:
                 right = {res[1]: res[0] * vw[0]}
         assert left == right
@@ -85,13 +87,13 @@ def test_word_mul_associative():
 
 def test_algebra_dimension():
     for n in range(2, 5):
-        alg = fib.FiberAlgebra(n)
+        alg = fw.FiberAlgebra(n)
         assert alg.dimension == 4 ** (n - 1)
         assert len(list(alg.words())) == 4 ** (n - 1)
 
 
 def test_transposition_action_two_points():
-    act = fib.transposition_action(2, 1)
+    act = fw.transposition_action(2, 1)
     assert act[(0,)] == {(0,): 1}
     assert act[(1,)] == {(1,): -1}
     assert act[(2,)] == {(2,): -1}
@@ -99,10 +101,10 @@ def test_transposition_action_two_points():
 
 
 def test_transposition_action_three_points_frozen():
-    act = fib.transposition_action(3, 1)
+    act = fw.transposition_action(3, 1)
     assert act[(1, 2)] == {(3, 0): 1, (1, 2): -1}
     assert act[(0, 1)] == {(0, 1): 1, (1, 0): -1}
-    slot_swap = fib.transposition_action(3, 2)
+    slot_swap = fw.transposition_action(3, 2)
     assert slot_swap[(1, 0)] == {(0, 1): 1}
     assert slot_swap[(1, 2)] == {(2, 1): -1}  # two odd letters cross
 
@@ -111,33 +113,65 @@ def test_action_respects_multiplication():
     # each generator acts by algebra homomorphisms
     rng = random.Random(23)
     for n in (2, 3, 4):
-        words = list(fib.FiberAlgebra(n).words())
+        words = list(fw.FiberAlgebra(n).words())
         for i in range(1, n):
-            act = fib.transposition_action(n, i)
+            act = fw.transposition_action(n, i)
             for _ in range(60):
                 u, v = rng.choice(words), rng.choice(words)
-                prod = fib.word_mul(u, v)
+                prod = fw.word_mul(u, v)
                 lhs = {} if prod is None else {
                     w: c * prod[0] for w, c in act[prod[1]].items()
                 }
-                rhs = fib._combo_mul(act[u], act[v])
+                rhs = fw.combo_mul(act[u], act[v])
                 assert lhs == rhs
 
 
 def test_permutation_action_contravariant():
-    n = 4
     rng = random.Random(31)
-    for _ in range(40):
+    for n, _ in product(range(2, 6), range(40)):
         sig = list(identity_perm(n))
         tau = list(identity_perm(n))
         rng.shuffle(sig)
         rng.shuffle(tau)
         sig, tau = tuple(sig), tuple(tau)
-        lhs = fib.permutation_action(n, compose_perms(sig, tau))
-        m_s = fib.permutation_action(n, sig)
-        m_t = fib.permutation_action(n, tau)
-        rhs = {w: fib._apply_map(m_t, combo) for w, combo in m_s.items()}
+        lhs = fw.permutation_action(n, compose_perms(sig, tau))
+        m_s = fw.permutation_action(n, sig)
+        m_t = fw.permutation_action(n, tau)
+        rhs = {w: fw.apply_map(m_t, combo) for w, combo in m_s.items()}
         assert lhs == rhs
+
+
+def test_adjacent_transposition_word_reconstructs():
+    for lam in partitions_of(5):
+        sigma = perm_from_cycle_type(lam)
+        word = fw.adjacent_transposition_word(sigma)
+        acc = identity_perm(5)
+        for i in word:
+            t = list(identity_perm(5))
+            t[i - 1], t[i] = t[i], t[i - 1]
+            acc = compose_perms(tuple(t), acc)
+        assert acc == sigma
+
+
+def test_coxeter_relations():
+    """Generators square to the identity, satisfy the braid relation and
+    commute when far apart."""
+
+    def compose_maps(a, b):
+        return {w: fw.apply_map(a, combo) for w, combo in b.items()}
+
+    for n in range(2, 6):
+        ident = {w: {w: 1} for w in fw.FiberAlgebra(n).words()}
+        gens = {i: fw.transposition_action(n, i) for i in range(1, n)}
+        for i in range(1, n):
+            assert compose_maps(gens[i], gens[i]) == ident
+        for i in range(1, n - 1):
+            lhs = compose_maps(compose_maps(gens[i], gens[i + 1]), gens[i])
+            rhs = compose_maps(compose_maps(gens[i + 1], gens[i]), gens[i + 1])
+            assert lhs == rhs
+        for i in range(1, n):
+            for j in range(i + 2, n):
+                assert compose_maps(gens[i], gens[j]) == compose_maps(gens[j], gens[i])
 
 
 def test_graded_traces_identity_gives_dimensions():
@@ -148,10 +182,16 @@ def test_graded_traces_identity_gives_dimensions():
         for (m, w), tr in traces.items():
             count = sum(
                 1
-                for word in fib.FiberAlgebra(n).words()
-                if fib.word_degree(word) == m and fib.word_weight(word) == w
+                for word in fw.FiberAlgebra(n).words()
+                if fw.word_degree(word) == m and fw.word_weight(word) == w
             )
             assert tr == count
+
+
+def test_graded_traces_match_word_oracle():
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            assert fib.graded_traces(n, lam) == fw.graded_traces(n, lam)
 
 
 def test_alternating_component_small():
@@ -165,14 +205,14 @@ def _projector_rank(n, m, w):
     exact Gaussian elimination over the rationals."""
     words = [
         word
-        for word in fib.FiberAlgebra(n).words()
-        if fib.word_degree(word) == m and fib.word_weight(word) == w
+        for word in fw.FiberAlgebra(n).words()
+        if fw.word_degree(word) == m and fw.word_weight(word) == w
     ]
     index = {word: i for i, word in enumerate(words)}
     size = len(words)
     matrix = [[Fraction(0)] * size for _ in range(size)]
     for perm in permutations(range(1, n + 1)):
-        act = fib.permutation_action(n, perm)
+        act = fw.permutation_action(n, perm)
         sign = class_sign(cycle_type(perm))
         for word in words:
             for image, c in act[word].items():
@@ -204,8 +244,8 @@ def test_alternating_component_matches_projector_rank():
     for n in (2, 3, 4):
         dims = fib.alternating_component(n)
         blocks = set()
-        for word in fib.FiberAlgebra(n).words():
-            blocks.add((fib.word_degree(word), fib.word_weight(word)))
+        for word in fw.FiberAlgebra(n).words():
+            blocks.add((fw.word_degree(word), fw.word_weight(word)))
         for (m, w) in sorted(blocks):
             assert _projector_rank(n, m, w) == dims.get((m, w), 0)
 
@@ -271,9 +311,13 @@ def test_interior_series_agree_where_both_defined():
     assert small.alt() == exact.truncate(n_max).zero_extended(6).alt()
 
 
-def test_range_guards():
+def test_range_guards(capsys):
     with pytest.raises(ValueError):
-        fib.alternating_component(fib.MAX_FIBER_POINTS + 1)
+        fib.alternating_component(1)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fiber", "-n", str(pipeline.MAX_POINTS + 1)])
+    assert exc.value.code == 2
+    assert f"between 2 and {pipeline.MAX_POINTS}" in capsys.readouterr().err
     with pytest.raises(ValueError):
         fib.ec_open_stratum(fib.MAX_STRATUM_POINTS + 1)
     with pytest.raises(ValueError):

@@ -120,10 +120,6 @@ def test_cli_rejects_bad_arguments(capsys):
         cli.main(["a0", "--max-degree", "many"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
-        cli.main(["fiber", "-n", "11"])
-    assert exc.value.code == 2
-    assert "between 2 and 7" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
 

@@ -15,10 +15,20 @@ equivariant e_c is assembled from two genus-zero ingredients:
   with a0dot the p_2-derivative of a0.
 
 Everything here is a formal identity in symmetric functions over the
-Tate subring; the alternating functional of the sum collapses to the
-closed form t/(1 - t^2), i.e. exactly 1 in each odd degree, and the
-composition with h_1 + b0' does not move the alternating image at all.
-Both facts are enforced at runtime and in the acceptance suite.
+Tate subring.  The theorem needs only the alternating image, and Alt is
+the ring homomorphism p_k -> (-1)^(k-1) t^k, so :func:`boundary_alt`
+never builds the symmetric-function sum: it applies the same formula to
+the one-variable series Alt(a0'') and Alt(a0dot), with psi_m acting on
+them through :meth:`~cuspmotive.symfunc.AltSeries.adams`.  The result is
+the closed form t/(1 - t^2), i.e. exactly 1 in each odd degree.
+
+The composition with h_1 + b0' does not move the alternating image.
+Alt(a0' o (h_1 + b)) is a0' evaluated at p_k -> Alt(psi_k(h_1 + b)), so
+Alt(a0') = 0 and the uniqueness of the fixed point give Alt(b0') = 0,
+and then every Alt(psi_k(h_1 + b0')) is (-1)^(k-1) t^k.  The boundary
+route checks Alt(a0') = 0 exactly at every truncation it runs; the
+symmetric-function sum :func:`boundary_sum` and its composition with
+h_1 + b0' are rebuilt and compared in the acceptance battery.
 """
 
 from __future__ import annotations
@@ -70,20 +80,37 @@ def boundary_sum(max_degree: int) -> sf.SymSeries:
     return necklace_series(max_degree) + correction_series(max_degree)
 
 
+def boundary_alt_from(
+    a0p: sf.SymSeries, a0pp: sf.SymSeries, a0dot: sf.SymSeries
+) -> sf.AltSeries:
+    """Alternating image of the boundary sum from given derivative inputs.
+
+    -(1/2) sum_m phi(m)/m log(1 - A_m) + (D^2 + D + (1/4) A_2) / (1 - A_2)
+    with A_m = Alt(psi_m(a0'')) and D = Alt(a0dot).  A nonzero Alt(a0')
+    would let the composition with h_1 + b0' move the result, and is fatal.
+    """
+    if a0p.alt().items():
+        raise RuntimeError("Alt(a0') is nonzero, so composition could move Alt")
+    alt = a0pp.alt()
+    n = alt.max_degree
+    total = sf.AltSeries(n)
+    for m in range(1, n + 1):
+        total = total + sf.log_one_minus(alt.adams(m)).scaled(Fraction(euler_phi(m), m))
+    d = a0dot.alt()
+    alt2 = alt.adams(2)
+    num = d * d + d + alt2.scaled(Fraction(1, 4))
+    return total.scaled(Fraction(-1, 2)) + num * sf.geometric(alt2)
+
+
 @cache
 def boundary_alt(max_degree: int) -> sf.AltSeries:
-    """Alternating image of the boundary sum, verified against composition.
-
-    The alternating functional is blind to plethysm with h_1 + b0'
-    because every Adams image of b0' has vanishing alternating part;
-    this is recomputed from scratch here and a mismatch is fatal.
-    """
-    u = boundary_sum(max_degree)
-    direct = u.alt()
-    composed = u.plethysm(sf.complete(1, max_degree) + genus0.b0_prime(max_degree))
-    if composed.alt() != direct:
-        raise RuntimeError("alternating image moved under boundary composition")
-    return direct
+    if max_degree < 2:
+        raise ValueError("max_degree must be >= 2")
+    return boundary_alt_from(
+        genus0.a0_first_derivative(max_degree),
+        genus0.a0_second_derivative(max_degree),
+        genus0.a0_p2_derivative(max_degree),
+    )
 
 
 @dataclass(frozen=True)

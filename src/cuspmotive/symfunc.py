@@ -41,6 +41,7 @@ class SymSeries:
     """Symmetric function truncated above ``max_degree``, power-sum basis."""
 
     __slots__ = ("max_degree", "_terms")
+    _UNIT_KEY = ()
 
     def __init__(self, max_degree: int, terms=None):
         if max_degree < 0:
@@ -361,6 +362,7 @@ class AltSeries:
     """
 
     __slots__ = ("max_degree", "_coeffs")
+    _UNIT_KEY = 0
 
     def __init__(self, max_degree: int, coeffs=None):
         if max_degree < 0:
@@ -386,6 +388,35 @@ class AltSeries:
 
     def items(self):
         return tuple(sorted(self._coeffs.items()))
+
+    def min_degree(self):
+        """Smallest degree with a nonzero coefficient, or None for 0."""
+        return min(self._coeffs, default=None)
+
+    def constant_term(self) -> MotiveClass:
+        return self.coefficient(0)
+
+    def scaled(self, c) -> "AltSeries":
+        c = _coerce_coeff(c)
+        return AltSeries(self.max_degree, {n: v * c for n, v in self._coeffs.items()})
+
+    def adams(self, m: int) -> "AltSeries":
+        """Alt(p_m o g) from Alt(g) for a Tate-only g.
+
+        Alt is the ring homomorphism p_k -> (-1)^(k-1) t^k, so the
+        degree-d part of Alt(g) moves to degree d*m with the sign
+        (-1)^((m-1)d), and its coefficient takes the m-th Adams operation.
+        """
+        if m < 1:
+            raise ValueError("m must be >= 1")
+        return AltSeries(
+            self.max_degree,
+            {
+                n * m: c.adams(m) * (-1) ** ((m - 1) * n)
+                for n, c in self._coeffs.items()
+                if n * m <= self.max_degree
+            },
+        )
 
     def __add__(self, other):
         if not isinstance(other, AltSeries):
@@ -492,12 +523,15 @@ def schur(lam, max_degree: int) -> SymSeries:
 # -- series functions ------------------------------------------------------
 
 
-def _powers_accumulate(g: SymSeries, weight) -> SymSeries:
-    """sum_{m >= 1} weight(m) * g^m, truncated; g must start in degree >= 1."""
+def _powers_accumulate(g: SymSeries | AltSeries, weight) -> SymSeries | AltSeries:
+    """sum_{m >= 1} weight(m) * g^m, truncated; g must start in degree >= 1.
+
+    The result has the type of ``g``, as have the series functions below.
+    """
     if not g.constant_term().is_zero():
         raise ValueError("series function requires zero constant term")
     mind = g.min_degree()
-    total = zero(g.max_degree)
+    total = type(g)(g.max_degree)
     if mind is None:
         return total
     power = g
@@ -512,11 +546,12 @@ def _powers_accumulate(g: SymSeries, weight) -> SymSeries:
     return total
 
 
-def log_one_minus(g: SymSeries) -> SymSeries:
+def log_one_minus(g: SymSeries | AltSeries) -> SymSeries | AltSeries:
     """log(1 - g) = -sum_{m>=1} g^m / m for g with zero constant term."""
     return _powers_accumulate(g, lambda m: Fraction(-1, m))
 
 
-def geometric(g: SymSeries) -> SymSeries:
+def geometric(g: SymSeries | AltSeries) -> SymSeries | AltSeries:
     """1/(1 - g) = sum_{m>=0} g^m for g with zero constant term."""
-    return one(g.max_degree) + _powers_accumulate(g, lambda m: Fraction(1))
+    unit = type(g)(g.max_degree, {g._UNIT_KEY: 1})
+    return unit + _powers_accumulate(g, lambda m: Fraction(1))

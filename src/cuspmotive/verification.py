@@ -96,8 +96,18 @@ def check_alt_a0dot(max_degree: int = 14) -> CheckResult:
 
 
 def check_alt_boundary(max_degree: int = 14) -> CheckResult:
+    """Closed form of the boundary's alternating image, and the fast
+    Alt-homomorphism route against the symmetric-function sum at every
+    truncation N = 2..max_degree."""
+
     def body():
         alt = genus1_boundary.boundary_sum(max_degree).alt()
+        for n in range(2, max_degree + 1):
+            fast = genus1_boundary.boundary_alt(n)
+            _expect(
+                all(fast.coefficient(k) == alt.coefficient(k) for k in range(n + 1)),
+                f"N={n}: boundary_alt differs from the SymSeries route: {fast!r}",
+            )
         for n in range(1, max_degree + 1):
             want = 1 if n % 2 else 0
             _expect(
@@ -107,12 +117,15 @@ def check_alt_boundary(max_degree: int = 14) -> CheckResult:
         for n in range(1, max_degree + 1):
             c = alt.coefficient(n)
             _expect(c.is_rational(), f"t^{n} carries weight: {c!r}")
-        return f"t/(1-t^2) through t^{max_degree}, all coefficients weight 0"
+        return (
+            f"t/(1-t^2) through t^{max_degree}, all coefficients weight 0; "
+            f"both routes agree for N = 2..{max_degree}"
+        )
 
     return _run("alt-boundary", body)
 
 
-def check_composition_invariance(max_degree: int = 10) -> CheckResult:
+def check_composition_invariance(max_degree: int = 14) -> CheckResult:
     def body():
         n = max_degree
         stable = sf.complete(1, n) + genus0.b0_prime(n)
@@ -487,6 +500,19 @@ def property_fiber_characters(n_max: int = 7) -> int:
     return cases
 
 
+def property_alt_adams(cases: int = 100, seed: int = 8128) -> int:
+    """Alt(p_m o g) = Alt(g).adams(m) on random Tate-only g, through the
+    SymSeries plethysm; returns the number of series g tried."""
+    rng = random.Random(seed)
+    for i in range(cases):
+        n = rng.randint(3, 6)
+        g = _random_series(rng, n, min_degree=1)
+        for m in range(1, min(4, n) + 1):
+            lhs = sf.power_sum(m, n).plethysm(g).alt()
+            _expect(lhs == g.alt().adams(m), f"case {i}, m={m}: Alt(p_m o g) != adams")
+    return cases
+
+
 def property_b0_palindromic(max_degree: int = 12) -> int:
     b = genus0.b0_prime(max_degree)
     cases = 0
@@ -506,6 +532,7 @@ def check_property_suites() -> CheckResult:
             "alt-multiplicative": property_alt_multiplicative(),
             "sign-free-composition": property_sign_free_composition(),
             "plethysm-associative": property_plethysm_associative(),
+            "alt-adams": property_alt_adams(),
             "character-orthogonality": property_character_orthogonality(),
             "fiber-characters": property_fiber_characters(),
             "b0-palindromic": property_b0_palindromic(),
@@ -522,13 +549,12 @@ def check_property_suites() -> CheckResult:
 
 def run_all(max_degree: int = 14) -> list[CheckResult]:
     """Run the full battery; series checks truncate at ``max_degree``."""
-    comp_degree = min(10, max_degree)
     return [
         check_alt_a0pp(max_degree),
         check_alt_psi_k(max_degree),
         check_alt_a0dot(max_degree),
         check_alt_boundary(max_degree),
-        check_composition_invariance(comp_degree),
+        check_composition_invariance(max_degree),
         check_interior(max_degree),
         check_alternating_component(),
         check_main_theorem(max_degree),

@@ -46,7 +46,7 @@ def test_criterion_04_alt_of_boundary_sum():
 
 def test_criterion_05_composition_invariance():
     t0 = time.time()
-    result = verification.check_composition_invariance(10)
+    result = verification.check_composition_invariance(14)
     _criterion(5, result, 600, time.time() - t0)
 
 
@@ -64,7 +64,7 @@ def test_criterion_07_alternating_component():
 
 def test_criterion_08_main_theorem():
     t0 = time.time()
-    result = verification.check_main_theorem(14)
+    result = verification.check_main_theorem(20)
     _criterion(8, result, 600, time.time() - t0)
 
 

@@ -47,6 +47,22 @@ def test_boundary_alt_coefficients_carry_no_weight():
         assert alt.coefficient(n).is_rational()
 
 
+def test_boundary_alt_matches_symseries_route():
+    for n in range(2, 11):
+        assert bdry.boundary_alt(n) == bdry.boundary_sum(n).alt()
+
+
+def test_boundary_alt_from_rejects_nonzero_alt_of_a0_first_derivative():
+    n = 6
+    a0pp = genus0.a0_second_derivative(n)
+    a0dot = genus0.a0_p2_derivative(n)
+    good = bdry.boundary_alt_from(genus0.a0_first_derivative(n), a0pp, a0dot)
+    assert good == bdry.boundary_alt(n)
+    bad = genus0.a0_first_derivative(n) + sf.elementary(4, n)
+    with pytest.raises(RuntimeError):
+        bdry.boundary_alt_from(bad, a0pp, a0dot)
+
+
 def test_composition_invariance_small():
     n = 6
     u = bdry.boundary_sum(n)
@@ -84,6 +100,8 @@ def test_assemble_requires_matching_truncation():
 
 
 def test_degree_guards():
+    with pytest.raises(ValueError):
+        bdry.boundary_alt(1)
     with pytest.raises(ValueError):
         bdry.necklace_series(0)
     with pytest.raises(ValueError):

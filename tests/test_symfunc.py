@@ -210,6 +210,32 @@ def test_alt_series_ops():
         a + sf.power_sum(1, 5).alt()
 
 
+def test_alt_series_adams():
+    f = sf.AltSeries(9, {1: L, 2: ONE + L, 3: 2 * ONE})
+    # degree d -> d*m, sign (-1)^((m-1)d), L -> L^m; beyond the truncation drops
+    assert f.adams(1) == f
+    assert f.adams(2) == sf.AltSeries(9, {2: -(L * L), 4: ONE + L * L, 6: -2 * ONE})
+    assert f.adams(3) == sf.AltSeries(9, {3: L**3, 6: ONE + L**3, 9: 2 * ONE})
+    assert f.adams(10) == sf.AltSeries(9)
+    # agrees with Alt of the plethysm by p_m on a Tate-only series
+    g = sf.complete(2, 6).scaled(L) + sf.power_sum(1, 6) * sf.power_sum(2, 6)
+    for m in range(1, 7):
+        assert sf.power_sum(m, 6).plethysm(g).alt() == g.alt().adams(m)
+    with pytest.raises(ValueError):
+        f.adams(0)
+    with pytest.raises(UnsupportedCuspOperation):
+        sf.AltSeries(4, {1: MotiveClass.cusp(12)}).adams(2)
+
+
+def test_series_functions_commute_with_alt():
+    g = sf.complete(1, 7).scaled(L) + sf.complete(2, 7) - sf.elementary(3, 7)
+    assert sf.log_one_minus(g.alt()) == sf.log_one_minus(g).alt()
+    assert sf.geometric(g.alt()) == sf.geometric(g).alt()
+    assert sf.log_one_minus(sf.AltSeries(5)) == sf.AltSeries(5)
+    with pytest.raises(ValueError):
+        sf.geometric(sf.AltSeries(5, {0: 1, 1: 1}))
+
+
 def test_json_round_trips():
     f = sf.complete(2, 4).scaled(L) + sf.power_sum(1, 4).scaled(
         MotiveClass.cusp(12)

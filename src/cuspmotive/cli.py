@@ -71,7 +71,12 @@ def _stratum_json(ec) -> dict:
     return {"points": ec.n, "bins": bins, "sym_multiplicities": sym, "alternating": alt}
 
 
-def _emit(args, command: str, result, text_lines: list[str], max_degree=None) -> None:
+def _emit(args, command: str, result, text_lines, max_degree=None) -> None:
+    """Print ``result`` as JSON, or the text form ``text_lines()`` builds.
+
+    The text form is passed as a zero-argument callable so that ``--json``
+    never renders it.
+    """
     if args.json:
         doc = {
             "schema_version": 1,
@@ -81,7 +86,7 @@ def _emit(args, command: str, result, text_lines: list[str], max_degree=None) ->
         }
         out = json.dumps(doc, indent=2, sort_keys=True)
     else:
-        out = "\n".join(text_lines)
+        out = "\n".join(text_lines())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(out + "\n")
@@ -96,14 +101,14 @@ def _emit(args, command: str, result, text_lines: list[str], max_degree=None) ->
 def _cmd_a0(args) -> int:
     series = genus0.a0_series(args.max_degree)
     result = series.to_json(basis=args.basis)
-    _emit(args, "a0", result, _series_lines(series, args.basis), args.max_degree)
+    _emit(args, "a0", result, lambda: _series_lines(series, args.basis), args.max_degree)
     return 0
 
 
 def _cmd_b0prime(args) -> int:
     series = genus0.b0_prime(args.max_degree)
     result = series.to_json(basis=args.basis)
-    _emit(args, "b0prime", result, _series_lines(series, args.basis), args.max_degree)
+    _emit(args, "b0prime", result, lambda: _series_lines(series, args.basis), args.max_degree)
     return 0
 
 
@@ -111,120 +116,150 @@ def _cmd_lie(args) -> int:
     series = genus0.signed_lie(args.max_degree) if args.signed else genus0.ch_lie(args.max_degree)
     name = "signed lie" if args.signed else "lie"
     result = {"signed": args.signed, "series": series.to_json(basis=args.basis)}
-    lines = [f"{name} character series:"] + _series_lines(series, args.basis)
-    _emit(args, "lie", result, lines, args.max_degree)
+
+    def text():
+        return [f"{name} character series:"] + _series_lines(series, args.basis)
+
+    _emit(args, "lie", result, text, args.max_degree)
     return 0
 
 
 def _cmd_rows_check(args) -> int:
     tables = genus0.poincare_schur(args.points)
-    lines = []
-    result = []
-    for i, rep in enumerate(tables):
-        lines.append(f"H^{i}:")
-        entries = []
-        for lam in sorted(rep):
-            lines.append(f"  {_partition_name(lam, 's')} x {rep[lam]}  ({lam.rows} rows, bound {i + 1})")
-            entries.append([list(lam), rep[lam]])
-        result.append(entries)
-    lines.append("row bounds satisfied: every constituent of H^i has at most i+1 rows")
-    _emit(args, "rows-check", {"points": args.points, "cohomology": result}, lines)
+
+    def text():
+        lines = []
+        for i, rep in enumerate(tables):
+            lines.append(f"H^{i}:")
+            for lam in sorted(rep):
+                lines.append(
+                    f"  {_partition_name(lam, 's')} x {rep[lam]}  ({lam.rows} rows, bound {i + 1})"
+                )
+        lines.append("row bounds satisfied: every constituent of H^i has at most i+1 rows")
+        return lines
+
+    result = [[[list(lam), rep[lam]] for lam in sorted(rep)] for rep in tables]
+    _emit(args, "rows-check", {"points": args.points, "cohomology": result}, text)
     return 0
 
 
 def _cmd_fiber(args) -> int:
     dims = genus1_fiber.alternating_component(args.points)
-    lines = [f"sign-isotypic fiber cohomology, {args.points} points:"]
-    for (deg, w) in sorted(dims):
-        lines.append(f"  degree {deg}, weight {w}: multiplicity {dims[(deg, w)]}")
+
+    def text():
+        lines = [f"sign-isotypic fiber cohomology, {args.points} points:"]
+        for (deg, w) in sorted(dims):
+            lines.append(f"  degree {deg}, weight {w}: multiplicity {dims[(deg, w)]}")
+        return lines
+
     result = {
         "points": args.points,
         "multiplicities": [[deg, w, dims[(deg, w)]] for (deg, w) in sorted(dims)],
     }
-    _emit(args, "fiber", result, lines)
+    _emit(args, "fiber", result, text)
     return 0
 
 
 def _cmd_open_stratum(args) -> int:
     ec = genus1_fiber.ec_open_stratum(args.points)
-    lines = [f"equivariant weight table, {args.points} points:"]
-    for (m, w) in sorted(ec.bins):
-        row = ", ".join(
-            f"{_partition_name(ct)}:{v}" for ct, v in sorted(ec.bins[(m, w)].items())
-        )
-        lines.append(f"  (degree {m}, weight {w})  {row}")
-    lines.append("local-system multiplicities (k, twist):")
-    for (k, j), table in sorted(ec.sym_multiplicities().items()):
-        row = ", ".join(f"{_partition_name(ct)}:{v}" for ct, v in sorted(table.items()))
-        lines.append(f"  (k={k}, j={j})  {row}")
-    lines.append("sign component by (degree, weight):")
-    for (m, w), c in sorted(ec.alternating_parts().items()):
-        lines.append(f"  ({m}, {w}): {c}")
-    _emit(args, "open-stratum", _stratum_json(ec), lines)
+
+    def text():
+        lines = [f"equivariant weight table, {args.points} points:"]
+        for (m, w) in sorted(ec.bins):
+            row = ", ".join(
+                f"{_partition_name(ct)}:{v}" for ct, v in sorted(ec.bins[(m, w)].items())
+            )
+            lines.append(f"  (degree {m}, weight {w})  {row}")
+        lines.append("local-system multiplicities (k, twist):")
+        for (k, j), table in sorted(ec.sym_multiplicities().items()):
+            row = ", ".join(f"{_partition_name(ct)}:{v}" for ct, v in sorted(table.items()))
+            lines.append(f"  (k={k}, j={j})  {row}")
+        lines.append("sign component by (degree, weight):")
+        for (m, w), c in sorted(ec.alternating_parts().items()):
+            lines.append(f"  ({m}, {w}): {c}")
+        return lines
+
+    _emit(args, "open-stratum", _stratum_json(ec), text)
     return 0
 
 
 def _cmd_necklace(args) -> int:
     neck = genus1_boundary.necklace_series(args.max_degree)
     corr = genus1_boundary.correction_series(args.max_degree)
-    lines = ["necklace series:"] + _series_lines(neck)
-    lines += ["correction series:"] + _series_lines(corr)
+
+    def text():
+        return (["necklace series:"] + _series_lines(neck)
+                + ["correction series:"] + _series_lines(corr))
+
     result = {"necklace": neck.to_json(), "correction": corr.to_json()}
-    _emit(args, "necklace", result, lines, args.max_degree)
+    _emit(args, "necklace", result, text, args.max_degree)
     return 0
 
 
 def _cmd_boundary(args) -> int:
     alt = genus1_boundary.boundary_alt(args.max_degree)
-    lines = ["alternating image of the boundary sum:"]
-    for n in range(1, args.max_degree + 1):
-        lines.append(f"  t^{n}: {alt.coefficient(n)!r}")
+
+    def text():
+        lines = ["alternating image of the boundary sum:"]
+        lines += [f"  t^{n}: {alt.coefficient(n)!r}" for n in range(1, args.max_degree + 1)]
+        return lines
+
     result = {
         "series": genus1_boundary.boundary_sum(args.max_degree).to_json(),
         "alt": alt.to_json(),
     }
-    _emit(args, "boundary", result, lines, args.max_degree)
+    _emit(args, "boundary", result, text, args.max_degree)
     return 0
 
 
 def _cmd_interior(args) -> int:
-    lines = ["interior sign-isotypic classes:"]
-    table = []
-    for n in range(1, args.points + 1):
-        cls = genus1_fiber.interior_alternating(n)
-        lines.append(f"  n={n}: {cls!r}")
-        table.append([n, cls.to_json()])
-    _emit(args, "interior", {"classes": table}, lines)
+    classes = {n: genus1_fiber.interior_alternating(n) for n in range(1, args.points + 1)}
+
+    def text():
+        return ["interior sign-isotypic classes:"] + [
+            f"  n={n}: {cls!r}" for n, cls in classes.items()
+        ]
+
+    table = [[n, cls.to_json()] for n, cls in classes.items()]
+    _emit(args, "interior", {"classes": table}, text)
     return 0
 
 
 def _cmd_motive(args) -> int:
     res = pipeline.main_theorem(args.points)
-    lines = [
-        f"n = {res.n}",
-        f"interior: {res.interior!r}",
-        f"boundary: {res.boundary!r}",
-        f"total:    {res.total!r}",
-        f"rank:     {res.rank}",
-        "hodge:    " + (", ".join(f"h^{{{p},{q}}} x {m}" for p, q, m in res.hodge) or "(none)"),
-    ]
-    _emit(args, "motive", res.to_json(), lines)
+
+    def text():
+        return [
+            f"n = {res.n}",
+            f"interior: {res.interior!r}",
+            f"boundary: {res.boundary!r}",
+            f"total:    {res.total!r}",
+            f"rank:     {res.rank}",
+            "hodge:    " + (", ".join(f"h^{{{p},{q}}} x {m}" for p, q, m in res.hodge) or "(none)"),
+        ]
+
+    _emit(args, "motive", res.to_json(), text)
     return 0
 
 
 def _cmd_verify_all(args) -> int:
     results = verification.run_all(args.max_degree)
-    lines = []
-    for r in results:
-        mark = "PASS" if r.passed else "FAIL"
-        lines.append(f"{mark} {r.name}" + (f": {r.detail}" if r.detail else ""))
-    ok = all(r.passed for r in results)
-    lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
+
+    def text():
+        lines = []
+        for r in results:
+            mark = "PASS" if r.passed else "FAIL"
+            line = f"{mark} {r.name} ({r.seconds:.2f} s)"
+            lines.append(line + (f": {r.detail}" if r.detail else ""))
+        lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
+        return lines
+
     result = [
-        {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
+        {"name": r.name, "passed": r.passed, "detail": r.detail, "seconds": round(r.seconds, 3)}
+        for r in results
     ]
-    _emit(args, "verify-all", result, lines, args.max_degree)
-    return 0 if ok else 1
+    _emit(args, "verify-all", result, text, args.max_degree)
+    return 0 if all(r.passed for r in results) else 1
 
 
 # ---------------------------------------------------------------------------

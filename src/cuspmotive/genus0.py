@@ -11,13 +11,17 @@ a polynomial in q.  A configuration fixed by a cycle type lam corresponds
 to a choice, for each part d of lam, of a closed point of degree d of P^1
 together with a starting phase on its Frobenius orbit, all points distinct;
 PGL_2(F_q), which acts freely on such configurations once n >= 3, has
-order q^3 - q.  Writing m_d(q) for the number of degree-d closed points,
+order q^3 - q.  Writing m_d(q) for the number of degree-d closed points
+and r_d for the number of parts of lam equal to d,
 
-    trace(lam) = prod_d d^(m-th falling factorials of m_d(q)) / (q^3 - q)
+    trace(lam) = prod_d prod_{t < r_d} (d m_d(q) - d t) / (q^3 - q).
 
-with one falling-factorial step per repeated part.  The division is exact
-in Q[q]; a nonzero remainder would mean the formula is being misused and
-raises immediately.
+Each factor is a monic polynomial in Z[q], since
+d m_d(q) = sum_{e | d} mu(d/e) (q^e + 1).  The numerator of lam is the
+numerator of lam with its smallest part removed times one such factor, so
+partitions that share a prefix share its product.  The division by the
+monic q^3 - q is exact in Z[q]; a nonzero remainder would mean the formula
+is being misused and raises immediately.
 """
 
 from __future__ import annotations
@@ -35,107 +39,77 @@ from .combinatorics import (
 )
 from .motive import MotiveClass
 
-# Polynomials in q are dense coefficient lists, constant term first.
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_add(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _poly_trim(out)
-
-
-def _poly_scale(a, c):
-    return _poly_trim([x * c for x in a])
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divexact(num, den):
-    """Exact polynomial division; a nonzero remainder is a hard failure."""
-    num = list(num)
-    den = _poly_trim(list(den))
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    out = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    while _poly_trim(num) and len(num) >= len(den):
-        shift = len(num) - len(den)
-        factor = num[-1] / den[-1]
-        out[shift] = factor
-        for i, c in enumerate(den):
-            num[shift + i] -= factor * c
-        _poly_trim(num)
-    if _poly_trim(num):
-        raise ArithmeticError("twisted point-count division was not exact")
-    return _poly_trim(out)
-
-
-def _poly_eval(p, x: Fraction) -> Fraction:
-    total = Fraction(0)
-    for c in reversed(p):
-        total = total * x + c
-    return total
-
-
-def _poly_to_motive(p) -> MotiveClass:
-    return MotiveClass(tate={j: c for j, c in enumerate(p) if c})
+# Polynomials in q are tuples of integer coefficients, constant term first.
 
 
 @cache
-def _closed_point_poly(d: int) -> tuple[Fraction, ...]:
-    # number of closed points of degree d on P^1 over F_q:
-    # (1/d) sum_{e | d} mu(d/e) (q^e + 1)
-    total: list[Fraction] = []
+def _closed_point_poly(d: int) -> tuple[int, ...]:
+    # d times the number of closed points of degree d on P^1 over F_q:
+    # sum_{e | d} mu(d/e) (q^e + 1)
+    out = [0] * (d + 1)
     for e in divisors(d):
-        term = [Fraction(1)] + [Fraction(0)] * (e - 1) + [Fraction(1)]
-        total = _poly_add(total, _poly_scale(term, Fraction(moebius(d // e), d)))
-    return tuple(total)
+        mu = moebius(d // e)
+        out[0] += mu
+        out[e] += mu
+    return tuple(out)
 
 
 def closed_point_count(d: int) -> MotiveClass:
     """Number of degree-d closed points of P^1, as a polynomial in L."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    return _poly_to_motive(_closed_point_poly(d))
+    return MotiveClass(tate={j: Fraction(c, d) for j, c in enumerate(_closed_point_poly(d))})
 
 
 @cache
-def twisted_count_poly(lam) -> tuple[Fraction, ...]:
+def _count_numerator(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Numerator of :func:`twisted_count_poly`, one factor d m_d(q) - d t per part.
+
+    ``parts`` is weakly decreasing and t counts the parts equal to d ahead
+    of it.  The smallest part is peeled off, so each prefix's product is
+    built once and shared by every partition that extends it.
+    """
+    if not parts:
+        return (1,)
+    rest, d = parts[:-1], parts[-1]
+    factor = list(_closed_point_poly(d))
+    factor[0] -= d * rest.count(d)
+    nonzero = [(j, c) for j, c in enumerate(factor) if c]
+    prefix = _count_numerator(rest)
+    out = [0] * (len(prefix) + d)
+    for i, x in enumerate(prefix):
+        for j, c in nonzero:
+            out[i + j] += x * c
+    return tuple(out)
+
+
+def _divide_by_q3_minus_q(num) -> tuple[int, ...]:
+    """Exact quotient of an integer polynomial by q^3 - q.
+
+    Synthetic division by the monic divisor stays in Z[q]; a nonzero
+    remainder is a hard failure.
+    """
+    rem = list(num)
+    quot = [0] * max(len(rem) - 3, 0)
+    for i in range(len(rem) - 1, 2, -1):
+        quot[i - 3] = rem[i]
+        rem[i - 2] += rem[i]
+    if any(rem[:3]):
+        raise ArithmeticError("twisted point-count division was not exact")
+    return tuple(quot)
+
+
+@cache
+def twisted_count_poly(lam) -> tuple[int, ...]:
     """Trace polynomial of a cycle-type-lam permutation on the degree-n piece.
 
-    Exposed separately so the finite-field oracle can compare against it
-    value by value.
+    Integer coefficients, constant term first.  Exposed separately so the
+    finite-field oracle can compare against it value by value.
     """
     lam = Partition(lam)
     if lam.size < 3:
         raise ValueError("needs at least 3 points")
-    num = [Fraction(1)]
-    for d, m in lam.multiplicities().items():
-        md = list(_closed_point_poly(d))
-        for t in range(m):
-            factor = _poly_add(md, [Fraction(-t)])
-            factor = _poly_scale(factor, Fraction(d))
-            num = _poly_mul(num, factor)
-    den = [Fraction(0), Fraction(-1), Fraction(0), Fraction(1)]  # q^3 - q
-    return tuple(_poly_divexact(num, den))
+    return _divide_by_q3_minus_q(_count_numerator(tuple(lam)))
 
 
 @cache
@@ -146,9 +120,9 @@ def a0_series(max_degree: int) -> sf.SymSeries:
     terms = {}
     for n in range(3, max_degree + 1):
         for lam in partitions_of(n):
-            coeff = _poly_to_motive(twisted_count_poly(lam))
-            if not coeff.is_zero():
-                terms[lam] = coeff * Fraction(1, z_of(lam))
+            z = z_of(lam)
+            poly = twisted_count_poly(lam)
+            terms[lam] = MotiveClass(tate={j: Fraction(c, z) for j, c in enumerate(poly) if c})
     return sf.SymSeries(max_degree, terms)
 
 

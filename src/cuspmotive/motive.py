@@ -55,7 +55,8 @@ class MotiveClass:
                 raise ValueError("negative Tate twists are not supported")
             c = _as_fraction(c)
             if c:
-                t[j] = t.get(j, Fraction(0)) + c
+                prev = t.get(j)
+                t[j] = c if prev is None else prev + c
         for (k, j), c in (cusp or {}).items():
             k, j = int(k), int(j)
             if k < 2 or k % 2 == 1:
@@ -67,10 +68,12 @@ class MotiveClass:
                 continue
             if k == 2:
                 # S[2] = -L - 1, so it never survives as a basis element
-                t[j + 1] = t.get(j + 1, Fraction(0)) - c
-                t[j] = t.get(j, Fraction(0)) - c
+                for jj in (j + 1, j):
+                    prev = t.get(jj)
+                    t[jj] = -c if prev is None else prev - c
             else:
-                cu[(k, j)] = cu.get((k, j), Fraction(0)) + c
+                prev = cu.get((k, j))
+                cu[(k, j)] = c if prev is None else prev + c
         object.__setattr__(self, "_tate", {j: c for j, c in t.items() if c})
         object.__setattr__(self, "_cusp", {kj: c for kj, c in cu.items() if c})
 

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import fraction_counts as fc
 import pytest
 
 from cuspmotive import genus0, symfunc as sf
@@ -59,9 +60,33 @@ def test_a0_weight_bounds():
 
 
 def test_twisted_count_divisibility_is_enforced():
-    # every partition of every degree must divide exactly; spot-check deg 6
-    for lam in partitions_of(6):
-        genus0.twisted_count_poly(lam)  # raises ArithmeticError on failure
+    # every partition of every degree must divide exactly
+    for n in range(3, 21):
+        for lam in partitions_of(n):
+            genus0.twisted_count_poly(lam)  # raises ArithmeticError on failure
+
+
+def test_inexact_division_raises():
+    assert genus0._divide_by_q3_minus_q((0, -1, 0, 1)) == (1,)
+    assert genus0._divide_by_q3_minus_q((0, -2, 1, 1, -1, 1)) == (2, -1, 1)
+    with pytest.raises(ArithmeticError):
+        genus0._divide_by_q3_minus_q((1, -1, 0, 1))  # q^3 - q + 1
+    with pytest.raises(ArithmeticError):
+        genus0._divide_by_q3_minus_q((0, 0, 1, 0, 1))  # q^4 + q^2
+
+
+def test_twisted_count_poly_matches_fraction_oracle():
+    for n in range(3, 15):
+        for lam in partitions_of(n):
+            got = genus0.twisted_count_poly(lam)
+            assert all(type(c) is int for c in got), lam
+            assert got == tuple(fc.twisted_count_poly(lam)), lam
+
+
+def test_closed_point_counts_match_fraction_oracle():
+    for d in range(1, 13):
+        want = MotiveClass(tate=dict(enumerate(fc.closed_point_poly(d))))
+        assert genus0.closed_point_count(d) == want
 
 
 def test_derivatives_shift_degree():

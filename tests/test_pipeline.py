@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -129,3 +130,29 @@ def test_cli_verify_all_quick(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 11
     assert "11/11 checks passed" in out
+    assert all(re.match(r"PASS [\w-]+ \(\d+\.\d\d s\)", line) for line in out.splitlines()[:11])
+    assert cli.main(["verify-all", "--max-degree", "4", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["schema_version"] == 1
+    assert len(doc["result"]) == 11
+    for entry in doc["result"]:
+        assert entry["passed"]
+        assert set(entry) == {"name", "passed", "detail", "seconds"}
+        assert isinstance(entry["seconds"], float) and entry["seconds"] >= 0
+
+
+def test_cli_json_skips_text_rendering(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("--json rendered the text form")
+
+    monkeypatch.setattr(cli, "_series_lines", refuse)
+    for argv in (
+        ["a0", "--max-degree", "6", "--basis", "schur"],
+        ["b0prime", "--max-degree", "4"],
+        ["lie", "--max-degree", "5", "--signed"],
+        ["necklace", "--max-degree", "5"],
+    ):
+        assert cli.main(argv + ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["command"] == argv[0]
+    with pytest.raises(AssertionError):
+        cli.main(["a0", "--max-degree", "4"])

@@ -22,10 +22,18 @@ numerator of lam with its smallest part removed times one such factor, so
 partitions that share a prefix share its product.  The division by the
 monic q^3 - q is exact in Z[q]; a nonzero remainder would mean the formula
 is being misused and raises immediately.
+
+The boundary needs only the alternating images of the derivatives a0',
+a0'' (both in p_1) and a0dot (in p_2).  :func:`a0_alt_derivatives` sums
+them degree by degree straight from the trace polynomials, each degree
+cached once for every truncation; the ``SymSeries`` derivatives
+:func:`a0_first_derivative`, :func:`a0_second_derivative` and
+:func:`a0_p2_derivative` remain for b0' and as the reference route.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cache
 
@@ -139,6 +147,58 @@ def a0_second_derivative(max_degree: int) -> sf.SymSeries:
 @cache
 def a0_p2_derivative(max_degree: int) -> sf.SymSeries:
     return a0_series(max_degree + 2).p_derivative(2)
+
+
+def _signed_count_sums(size: int, weights) -> list[MotiveClass]:
+    """sum_{lam |- size} w(lam) eps(lam) c_lam for each weight w of (m_1, m_2).
+
+    c_lam is the coefficient of p_lam in a0 and eps(lam) is (-1) to the
+    number of even parts.  Every z_lam divides size!, so each sum is kept in
+    integers over that one denominator.
+    """
+    sums = [[0] * max(size - 2, 0) for _ in weights]
+    fact = math.factorial(size)
+    if size >= 3:
+        for lam in partitions_of(size):
+            scale = fact // z_of(lam) * (-1) ** lam.even_part_count()
+            m1, m2 = lam.count(1), lam.count(2)
+            poly = twisted_count_poly(lam)
+            for acc, weight in zip(sums, weights):
+                w = weight(m1, m2) * scale
+                if w:
+                    for j, c in enumerate(poly):
+                        acc[j] += w * c
+    return [MotiveClass(tate={j: Fraction(c, fact) for j, c in enumerate(acc)}) for acc in sums]
+
+
+@cache
+def _alt_derivative_layer(n: int) -> tuple[MotiveClass, MotiveClass, MotiveClass]:
+    """[t^n] of Alt(a0'), Alt(a0'') and Alt(a0dot), straight from the point counts.
+
+    Alt sends p_lam to eps(lam) t^|lam|.  d/dp_1 removes a part 1, which
+    keeps eps, and d/dp_2 removes a part 2, which flips it; so
+    [t^n] Alt(a0') sums m_1 eps c_lam over lam |- n+1, [t^n] Alt(a0'')
+    sums m_1 (m_1 - 1) eps c_lam over lam |- n+2, and [t^n] Alt(a0dot)
+    sums -m_2 eps c_lam over lam |- n+2.
+    """
+    (first,) = _signed_count_sums(n + 1, (lambda m1, m2: m1,))
+    second, p2 = _signed_count_sums(n + 2, (lambda m1, m2: m1 * (m1 - 1), lambda m1, m2: -m2))
+    return first, second, p2
+
+
+def a0_alt_derivatives(max_degree: int) -> tuple[sf.AltSeries, sf.AltSeries, sf.AltSeries]:
+    """Alt(a0'), Alt(a0'') and Alt(a0dot) through t^N, one cached degree at a time.
+
+    Equal to the ``.alt()`` of :func:`a0_first_derivative`,
+    :func:`a0_second_derivative` and :func:`a0_p2_derivative`, without
+    building those series; every truncation shares the lower degrees.
+    """
+    if max_degree < 1:
+        raise ValueError("max_degree must be >= 1")
+    layers = {n: _alt_derivative_layer(n) for n in range(1, max_degree + 1)}
+    return tuple(
+        sf.AltSeries(max_degree, {n: layer[i] for n, layer in layers.items()}) for i in range(3)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,11 @@ Tate subring.  The theorem needs only the alternating image, and Alt is
 the ring homomorphism p_k -> (-1)^(k-1) t^k, so :func:`boundary_alt`
 never builds the symmetric-function sum: it applies the same formula to
 the one-variable series Alt(a0'') and Alt(a0dot), with psi_m acting on
-them through :meth:`~cuspmotive.symfunc.AltSeries.adams`.  The result is
-the closed form t/(1 - t^2), i.e. exactly 1 in each odd degree.
+them through :meth:`~cuspmotive.symfunc.AltSeries.adams`.  Those series
+come from :func:`~cuspmotive.genus0.a0_alt_derivatives`, one cached
+degree at a time, so no symmetric-function derivative is built either.
+The result is the closed form t/(1 - t^2), i.e. exactly 1 in each odd
+degree.
 
 The composition with h_1 + b0' does not move the alternating image.
 Alt(a0' o (h_1 + b)) is a0' evaluated at p_k -> Alt(psi_k(h_1 + b)), so
@@ -81,24 +84,23 @@ def boundary_sum(max_degree: int) -> sf.SymSeries:
 
 
 def boundary_alt_from(
-    a0p: sf.SymSeries, a0pp: sf.SymSeries, a0dot: sf.SymSeries
+    a0p: sf.AltSeries, a0pp: sf.AltSeries, a0dot: sf.AltSeries
 ) -> sf.AltSeries:
-    """Alternating image of the boundary sum from given derivative inputs.
+    """Alternating image of the boundary sum from Alt(a0'), Alt(a0''), Alt(a0dot).
 
     -(1/2) sum_m phi(m)/m log(1 - A_m) + (D^2 + D + (1/4) A_2) / (1 - A_2)
-    with A_m = Alt(psi_m(a0'')) and D = Alt(a0dot).  A nonzero Alt(a0')
-    would let the composition with h_1 + b0' move the result, and is fatal.
+    with A_m = Alt(psi_m(a0'')) = ``a0pp.adams(m)`` and D = ``a0dot``.  A
+    nonzero Alt(a0') would let the composition with h_1 + b0' move the
+    result, and is fatal.
     """
-    if a0p.alt().items():
+    if a0p.items():
         raise RuntimeError("Alt(a0') is nonzero, so composition could move Alt")
-    alt = a0pp.alt()
-    n = alt.max_degree
+    n = a0pp.max_degree
     total = sf.AltSeries(n)
     for m in range(1, n + 1):
-        total = total + sf.log_one_minus(alt.adams(m)).scaled(Fraction(euler_phi(m), m))
-    d = a0dot.alt()
-    alt2 = alt.adams(2)
-    num = d * d + d + alt2.scaled(Fraction(1, 4))
+        total = total + sf.log_one_minus(a0pp.adams(m)).scaled(Fraction(euler_phi(m), m))
+    alt2 = a0pp.adams(2)
+    num = a0dot * a0dot + a0dot + alt2.scaled(Fraction(1, 4))
     return total.scaled(Fraction(-1, 2)) + num * sf.geometric(alt2)
 
 
@@ -106,11 +108,7 @@ def boundary_alt_from(
 def boundary_alt(max_degree: int) -> sf.AltSeries:
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
-    return boundary_alt_from(
-        genus0.a0_first_derivative(max_degree),
-        genus0.a0_second_derivative(max_degree),
-        genus0.a0_p2_derivative(max_degree),
-    )
+    return boundary_alt_from(*genus0.a0_alt_derivatives(max_degree))
 
 
 @dataclass(frozen=True)

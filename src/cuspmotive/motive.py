@@ -156,10 +156,7 @@ class MotiveClass:
     __radd__ = __add__
 
     def __neg__(self):
-        return MotiveClass(
-            tate={j: -c for j, c in self._tate.items()},
-            cusp={kj: -c for kj, c in self._cusp.items()},
-        )
+        return self._scaled(-1)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -173,9 +170,21 @@ class MotiveClass:
             return NotImplemented
         return other + (-self)
 
+    def _scaled(self, s) -> "MotiveClass":
+        """Product with an int or Fraction, scaled coefficient by coefficient.
+
+        A nonzero scalar keeps every key and every value nonzero, so the
+        result needs none of the checks in ``__init__``; zero gives zero.
+        """
+        out = object.__new__(MotiveClass)
+        object.__setattr__(out, "_tate", {j: c * s for j, c in self._tate.items()} if s else {})
+        object.__setattr__(out, "_cusp", {kj: c * s for kj, c in self._cusp.items()} if s else {})
+        return out
+
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other)
+        if not isinstance(other, MotiveClass):
             return NotImplemented
         if self._cusp and other._cusp:
             raise UnsupportedCuspOperation(

@@ -43,12 +43,14 @@ def main_theorem(n: int) -> MainResult:
 
     The boundary coefficient is read off the alternating image of the
     necklace-plus-correction series, computed through the Alt ring
-    homomorphism from Alt(a0'') and Alt(a0dot) alone: no plethysm and no
-    b0' (composition with the stable-tree series provably does not move
-    it, given Alt(a0') = 0, which is checked on the way).  The interior
-    coefficient comes from the symmetric-power decomposition of the
-    fiberwise sign component.  The total is -S[n+1] for odd n and 0 for
-    even n, with S[2] = -L - 1 making n = 1 come out as L + 1.
+    homomorphism from Alt(a0'') and Alt(a0dot) alone: no plethysm, no
+    b0' and no symmetric-function derivative, since those images are
+    summed degree by degree from the point counts and shared across n
+    (composition with the stable-tree series provably does not move
+    the result, given Alt(a0') = 0, which is checked on the way).  The
+    interior coefficient comes from the symmetric-power decomposition of
+    the fiberwise sign component.  The total is -S[n+1] for odd n and 0
+    for even n, with S[2] = -L - 1 making n = 1 come out as L + 1.
     """
     if not 1 <= n <= MAX_POINTS:
         raise ValueError(f"main_theorem supports 1 <= n <= {MAX_POINTS}")

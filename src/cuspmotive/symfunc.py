@@ -129,7 +129,7 @@ class SymSeries:
         return self + (-other)
 
     def scaled(self, c) -> "SymSeries":
-        c = _coerce_coeff(c) if not isinstance(c, MotiveClass) else c
+        """Each coefficient times c, an int, Fraction or MotiveClass."""
         return SymSeries(self.max_degree, {l: v * c for l, v in self._terms.items()})
 
     def __mul__(self, other):
@@ -397,7 +397,7 @@ class AltSeries:
         return self.coefficient(0)
 
     def scaled(self, c) -> "AltSeries":
-        c = _coerce_coeff(c)
+        """Each coefficient times c, an int, Fraction or MotiveClass."""
         return AltSeries(self.max_degree, {n: v * c for n, v in self._coeffs.items()})
 
     def adams(self, m: int) -> "AltSeries":

@@ -58,14 +58,19 @@ def _rational(x) -> MotiveClass:
 
 
 def check_alt_a0pp(max_degree: int = 14) -> CheckResult:
+    """Alt(a0'') = t/(1+t): through ``max_degree`` from the SymSeries
+    derivative, through ``pipeline.MAX_POINTS`` from the fused layers."""
+
     def body():
         alt = genus0.a0_second_derivative(max_degree).alt()
-        for n in range(1, max_degree + 1):
-            _expect(
-                alt.coefficient(n) == _rational((-1) ** (n - 1)),
-                f"coefficient t^{n} of Alt(a0'') is {alt.coefficient(n)!r}",
-            )
-        return f"t/(1+t) through t^{max_degree}"
+        fused = genus0.a0_alt_derivatives(pipeline.MAX_POINTS)[1]
+        for route, series in (("SymSeries", alt), ("fused", fused)):
+            for n in range(1, series.max_degree + 1):
+                _expect(
+                    series.coefficient(n) == _rational((-1) ** (n - 1)),
+                    f"{route}: coefficient t^{n} of Alt(a0'') is {series.coefficient(n)!r}",
+                )
+        return f"t/(1+t) through t^{max_degree}, fused layers through t^{pipeline.MAX_POINTS}"
 
     return _run("alt-a0pp", body)
 
@@ -87,14 +92,19 @@ def check_alt_psi_k(max_degree: int = 14) -> CheckResult:
 
 
 def check_alt_a0dot(max_degree: int = 14) -> CheckResult:
+    """Alt(a0dot) = (1/2) t/(1-t): through ``max_degree`` from the SymSeries
+    derivative, through ``pipeline.MAX_POINTS`` from the fused layers."""
+
     def body():
         alt = genus0.a0_p2_derivative(max_degree).alt()
-        for n in range(1, max_degree + 1):
-            _expect(
-                alt.coefficient(n) == _rational(Fraction(1, 2)),
-                f"coefficient t^{n} is {alt.coefficient(n)!r}",
-            )
-        return f"(1/2) t/(1-t) through t^{max_degree}"
+        fused = genus0.a0_alt_derivatives(pipeline.MAX_POINTS)[2]
+        for route, series in (("SymSeries", alt), ("fused", fused)):
+            for n in range(1, series.max_degree + 1):
+                _expect(
+                    series.coefficient(n) == _rational(Fraction(1, 2)),
+                    f"{route}: coefficient t^{n} is {series.coefficient(n)!r}",
+                )
+        return f"(1/2) t/(1-t) through t^{max_degree}, fused layers through t^{pipeline.MAX_POINTS}"
 
     return _run("alt-a0dot", body)
 
@@ -238,46 +248,77 @@ def check_row_bounds(n_max: int = 8) -> CheckResult:
 # ---------------------------------------------------------------------------
 # Finite-field oracle.
 #
-# GF(p^k) is built as F_p[x]/(f) with f found by searching for a monic
-# polynomial making x a generator of the multiplicative group: powers of
-# x are tabulated by shift-and-reduce, and seeing p^k - 1 distinct powers
-# certifies both primitivity and irreducibility (the ring has p^k - 1
-# units plus zero, hence is a field).  Frobenius then acts on exponents
-# by multiplication, so orbit bookkeeping never touches polynomials.
+# GF(p^k) is built as F_p[x]/(f) with f the first monic polynomial, in a
+# fixed search order, making x a generator of the multiplicative group.
+# x has order exactly p^k - 1 when x^(p^k - 1) = 1 and x^((p^k - 1)/r) != 1
+# for each prime r dividing p^k - 1; its p^k - 1 distinct powers are then
+# units, so with zero they exhaust the ring and f is irreducible as well
+# as primitive.  Frobenius then acts on exponents by multiplication, so
+# orbit bookkeeping never touches polynomials.
+
+# Fields F_(p^e) for the brute-force counts, and the degrees counted.
+ORACLE_FIELDS = ((2, 1), (3, 1), (5, 1), (2, 2))
+ORACLE_DEGREES = (4, 5)
+
+
+def _mulmod(a, b, p: int, tail) -> tuple[int, ...]:
+    """a * b in F_p[x]/(f), f = x^k + sum_i tail[i] x^i; k coefficients out."""
+    k = len(tail)
+    prod = [0] * max(len(a) + len(b) - 1, k)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    for i in range(len(prod) - 1, k - 1, -1):
+        head = prod[i] % p
+        if head:
+            for j, t in enumerate(tail):
+                prod[i - k + j] -= head * t
+    return tuple(c % p for c in prod[:k])
+
+
+def _x_power(e: int, p: int, tail) -> tuple[int, ...]:
+    """x^e in F_p[x]/(f) by square-and-multiply."""
+    result, base = _mulmod((1,), (1,), p, tail), _mulmod((0, 1), (1,), p, tail)
+    while e:
+        if e & 1:
+            result = _mulmod(result, base, p, tail)
+        base = _mulmod(base, base, p, tail)
+        e >>= 1
+    return result
+
+
+def _prime_factors(m: int) -> list[int]:
+    out, r = [], 2
+    while r * r <= m:
+        if m % r == 0:
+            out.append(r)
+            while m % r == 0:
+                m //= r
+        r += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
+def _is_primitive(p: int, tail) -> bool:
+    """Whether x has multiplicative order exactly p^k - 1 modulo
+    f = x^k + sum_i tail[i] x^i over F_p."""
+    order = p ** len(tail) - 1
+    one = _x_power(0, p, tail)
+    return _x_power(order, p, tail) == one and all(
+        _x_power(order // r, p, tail) != one for r in _prime_factors(order)
+    )
 
 
 @cache
-def _field_exponent_table(p: int, k: int):
-    order = p**k - 1
+def _field_modulus(p: int, k: int) -> tuple[int, ...]:
+    """The low coefficients of the first primitive monic f of degree k over F_p."""
     from itertools import product as iproduct
 
-    one = (1,) + (0,) * (k - 1)
     for tail in iproduct(range(p), repeat=k):
-        if tail[0] == 0:
-            continue
-        exp = [one]
-        cur = one
-        ok = True
-        for _ in range(order - 1):
-            head = cur[-1]
-            cur = (0,) + cur[:-1]
-            if head:
-                cur = tuple((c - head * t) % p for c, t in zip(cur, tail))
-            if cur == one:
-                ok = False
-                break
-            exp.append(cur)
-        if not ok:
-            continue
-        # close the cycle: one more multiplication must return to 1
-        head = cur[-1]
-        cur = (0,) + cur[:-1]
-        if head:
-            cur = tuple((c - head * t) % p for c, t in zip(cur, tail))
-        if cur != one:
-            continue
-        if len(set(exp)) == order:
-            return tuple(exp)
+        if tail[0] and _is_primitive(p, tail):
+            return tail
     raise RuntimeError(f"no generator found for GF({p}^{k})")
 
 
@@ -286,10 +327,10 @@ def _exact_degree_point_ids(p: int, e: int, d: int):
 
     Returns (points, orbit_id_of_point): nonzero field elements are
     labelled by their discrete logarithm; zero and infinity only appear
-    for d = 1.  The exponent table certifies the field exists; orbits of
+    for d = 1.  A primitive modulus certifies the field exists; orbits of
     Frobenius x -> x^q are index orbits under multiplication by q.
     """
-    _field_exponent_table(p, e * d)  # build (and certify) the field
+    _field_modulus(p, e * d)
     q = p**e
     order = p ** (e * d) - 1
     pts = []
@@ -359,12 +400,11 @@ def _lagrange_through(points):
 
 def check_secondary_oracles() -> CheckResult:
     def body():
-        fields = [(2, 1), (3, 1), (5, 1), (2, 2)]  # F_2, F_3, F_5, F_4
-        for n in (4, 5):
+        for n in ORACLE_DEGREES:
             for lam in partitions_of(n):
                 want_poly = genus0.twisted_count_poly(lam)
                 samples = []
-                for p, e in fields:
+                for p, e in ORACLE_FIELDS:
                     q = Fraction(p**e)
                     count = twisted_config_count(lam, p, e)
                     _expect(

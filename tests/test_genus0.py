@@ -3,7 +3,7 @@ from fractions import Fraction
 import fraction_counts as fc
 import pytest
 
-from cuspmotive import genus0, symfunc as sf
+from cuspmotive import genus0, pipeline, symfunc as sf
 from cuspmotive.combinatorics import Partition, moebius, partitions_of
 from cuspmotive.motive import L, ONE, MotiveClass
 
@@ -97,6 +97,23 @@ def test_derivatives_shift_degree():
     assert a0pp.coefficient(P(1)) == ONE
 
 
+def test_fused_alt_derivatives_match_symseries_route():
+    for n in range(2, 15):
+        assert genus0.a0_alt_derivatives(n) == (
+            genus0.a0_first_derivative(n).alt(),
+            genus0.a0_second_derivative(n).alt(),
+            genus0.a0_p2_derivative(n).alt(),
+        )
+
+
+def test_fused_alt_derivatives_closed_forms():
+    n_max = pipeline.MAX_POINTS
+    first, second, p2 = genus0.a0_alt_derivatives(n_max)
+    assert first == sf.AltSeries(n_max)
+    assert second == sf.AltSeries(n_max, {n: (-1) ** (n - 1) for n in range(1, n_max + 1)})
+    assert p2 == sf.AltSeries(n_max, {n: Fraction(1, 2) for n in range(1, n_max + 1)})
+
+
 def test_ch_lie_low_degrees():
     lie = genus0.ch_lie(6)
     assert not lie.degree_terms(1)
@@ -188,6 +205,8 @@ def test_poincare_schur_row_bounds():
 def test_range_guards():
     with pytest.raises(ValueError):
         genus0.a0_series(2)
+    with pytest.raises(ValueError):
+        genus0.a0_alt_derivatives(0)
     with pytest.raises(ValueError):
         genus0.poincare_schur(2)
     with pytest.raises(ValueError):

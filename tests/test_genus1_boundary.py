@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuspmotive import genus0, genus1_boundary as bdry, genus1_fiber as fib, symfunc as sf
+from cuspmotive import genus0, genus1_boundary as bdry, genus1_fiber as fib, pipeline, symfunc as sf
 from cuspmotive.combinatorics import Partition
 from cuspmotive.motive import L, ONE, MotiveClass
 
@@ -52,13 +52,22 @@ def test_boundary_alt_matches_symseries_route():
         assert bdry.boundary_alt(n) == bdry.boundary_sum(n).alt()
 
 
+def test_boundary_alt_truncates_consistently():
+    top = bdry.boundary_alt(pipeline.MAX_POINTS)
+    for n in range(2, pipeline.MAX_POINTS):
+        low = bdry.boundary_alt(n)
+        assert all(low.coefficient(k) == top.coefficient(k) for k in range(n + 1))
+
+
 def test_boundary_alt_from_rejects_nonzero_alt_of_a0_first_derivative():
     n = 6
-    a0pp = genus0.a0_second_derivative(n)
-    a0dot = genus0.a0_p2_derivative(n)
-    good = bdry.boundary_alt_from(genus0.a0_first_derivative(n), a0pp, a0dot)
-    assert good == bdry.boundary_alt(n)
-    bad = genus0.a0_first_derivative(n) + sf.elementary(4, n)
+    routes = [
+        d(n).alt()
+        for d in (genus0.a0_first_derivative, genus0.a0_second_derivative, genus0.a0_p2_derivative)
+    ]
+    assert bdry.boundary_alt_from(*routes) == bdry.boundary_alt(n)
+    a0p, a0pp, a0dot = genus0.a0_alt_derivatives(n)
+    bad = a0p + sf.elementary(4, n).alt()
     with pytest.raises(RuntimeError):
         bdry.boundary_alt_from(bad, a0pp, a0dot)
 

@@ -51,6 +51,25 @@ def test_cusp_products_are_rejected():
         (s12 + ONE) * (MotiveClass.cusp(16) - L)
 
 
+def test_scalar_product_matches_class_product():
+    r = random.Random(29)
+    for _ in range(200):
+        x = MotiveClass(
+            tate={r.randint(0, 4): Fraction(r.randint(-5, 5), r.randint(1, 4)) for _ in range(3)},
+            cusp={
+                (2 * r.randint(1, 6), r.randint(0, 2)): Fraction(r.randint(-3, 3), r.randint(1, 3))
+                for _ in range(r.randint(0, 2))
+            },
+        )
+        s = r.choice([r.randint(-3, 3), Fraction(r.randint(-4, 4), r.randint(1, 5))])
+        want = x * MotiveClass.from_rational(s)
+        assert x * s == want
+        assert s * x == want
+        assert -x == x * MotiveClass.from_rational(-1)
+    assert (MotiveClass.cusp(12) * 0).is_zero()
+    assert (Fraction(0) * L).is_zero()
+
+
 def test_adams_operations():
     x = L + 2 * ONE
     assert x.adams(3) == L**3 + 2 * ONE

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from cuspmotive import cli, pipeline
+from cuspmotive import cli, genus0, genus1_boundary, pipeline, symfunc as sf
 from cuspmotive.motive import L, ONE, MotiveClass
 
 
@@ -156,3 +156,15 @@ def test_cli_json_skips_text_rendering(capsys, monkeypatch):
         assert json.loads(capsys.readouterr().out)["command"] == argv[0]
     with pytest.raises(AssertionError):
         cli.main(["a0", "--max-degree", "4"])
+
+
+def test_theorem_path_builds_no_symseries_derivatives(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the theorem path built a SymSeries derivative or its Alt")
+
+    monkeypatch.setattr(sf.SymSeries, "p_derivative", refuse)
+    monkeypatch.setattr(sf.SymSeries, "alt", refuse)
+    genus1_boundary.boundary_alt.cache_clear()
+    genus0._alt_derivative_layer.cache_clear()
+    for n in range(1, 13):
+        assert pipeline.main_theorem(n).total == pipeline.expected_total(n)

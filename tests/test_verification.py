@@ -1,0 +1,38 @@
+from itertools import product
+
+import field_tables as ft
+
+from cuspmotive import verification
+
+
+def _oracle_fields():
+    """Every GF(p^k) the secondary oracle builds: F_(p^e) extended by each part d."""
+    return sorted(
+        {
+            (p, e * d)
+            for p, e in verification.ORACLE_FIELDS
+            for d in range(1, max(verification.ORACLE_DEGREES) + 1)
+        }
+    )
+
+
+def test_field_modulus_matches_table_oracle():
+    for p, k in _oracle_fields():
+        tail = verification._field_modulus(p, k)
+        assert ft.exponent_table(p, tail) is not None, (p, k, tail)
+        assert tail == ft.first_primitive_modulus(p, k), (p, k)
+
+
+def test_certificate_rejects_non_primitive_moduli():
+    # x^4 + x^3 + x^2 + x + 1 is irreducible over F_2, but x has order 5
+    assert not verification._is_primitive(2, (1, 1, 1, 1))
+    # x^2 + 1 = (x + 1)^2 over F_2 and x^2 + 1 = (x + 2)(x + 3) over F_5
+    assert not verification._is_primitive(2, (1, 0))
+    assert not verification._is_primitive(5, (1, 0))
+    # f(0) = 0 makes x a zero divisor
+    assert not verification._is_primitive(3, (0, 1))
+    for p, k in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)):
+        for tail in product(range(p), repeat=k):
+            assert verification._is_primitive(p, tail) == (
+                ft.exponent_table(p, tail) is not None
+            ), (p, tail)

@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_fiber)
 
     p = sub.add_parser("open-stratum", help="equivariant weight table of the open stratum")
-    common(p, points=(1, genus1_fiber.MAX_STRATUM_POINTS))
+    common(p, points=(1, pipeline.MAX_POINTS))
     p.set_defaults(fn=_cmd_open_stratum)
 
     p = sub.add_parser("necklace", help="cycle and correction boundary series")

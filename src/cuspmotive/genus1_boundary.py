@@ -36,7 +36,6 @@ h_1 + b0' are rebuilt and compared in the acceptance battery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -111,34 +110,15 @@ def boundary_alt(max_degree: int) -> sf.AltSeries:
     return boundary_alt_from(*genus0.a0_alt_derivatives(max_degree))
 
 
-@dataclass(frozen=True)
-class BoundaryAssembly:
-    """All the pieces of one full-boundary evaluation at a fixed truncation."""
-
-    necklace: sf.SymSeries
-    correction: sf.SymSeries
-    inner_sum: sf.SymSeries
-    composed: sf.SymSeries
-
-
 def b1_series(max_degree: int, a1_input: sf.SymSeries) -> sf.SymSeries:
     """Genus-one equivariant e_c series: (a1 + boundary) o (h_1 + b0').
 
     ``a1_input`` supplies the interior term; it must share the truncation
     degree.  Degrees of the output above the highest trusted degree of
     the input are only as good as the input."""
-    return assemble(max_degree, a1_input).composed
-
-
-def assemble(max_degree: int, a1_input: sf.SymSeries) -> BoundaryAssembly:
     if a1_input.max_degree != max_degree:
         raise ValueError(
             f"a1 input is truncated at {a1_input.max_degree}, expected {max_degree}"
         )
-    neck = necklace_series(max_degree)
-    corr = correction_series(max_degree)
-    inner = a1_input + neck + corr
-    composed = inner.plethysm(
-        sf.complete(1, max_degree) + genus0.b0_prime(max_degree)
-    )
-    return BoundaryAssembly(neck, corr, inner, composed)
+    inner = a1_input + boundary_sum(max_degree)
+    return inner.plethysm(sf.complete(1, max_degree) + genus0.b0_prime(max_degree))

@@ -1,12 +1,15 @@
 """Cohomology of powers of a genus-one fiber, with its twisted S_n action.
 
-The open stratum of interest is the complement of the big diagonals in the
-(n-1)-st power of a pointed genus-one curve E: configurations
-(0, x_2, ..., x_n) with all coordinates distinct.  As a graded S_n-module,
+The open stratum of interest is F(E, n)/E, n distinct points on a
+genus-one curve E up to translation: fixing the first point at 0, the
+complement of the big diagonals in E^(n-1).  As a graded S_n-module,
 H^*(E^(n-1)) is the exterior algebra on V (x) std, where V = H^1(E) has
 SL_2-weights +1 and -1 and std is the reduced permutation representation
 (Getzler, "Resolving mixed Hodge modules on configuration spaces", 1999).
 Graded traces are therefore products over the cycles of a permutation.
+
+The equivariant e_c of the open stratum comes from twisted point counts
+on E, as genus zero's come from counts on P^1 (:func:`ec_open_stratum`).
 """
 
 from __future__ import annotations
@@ -19,16 +22,12 @@ from functools import cache
 from .combinatorics import (
     Partition,
     class_sign,
-    cycle_type,
+    divisors,
+    moebius,
     partitions_of,
-    perm_from_cycle_type,
-    stable_poset_mobius,
-    stable_set_partitions,
     z_of,
 )
 from .motive import MotiveClass
-
-MAX_STRATUM_POINTS = 6
 
 
 def _poly_mul(a: dict, b: dict) -> dict:
@@ -140,47 +139,60 @@ class EquivariantClass:
         return out
 
     def alternating_parts(self) -> dict:
-        """Multiplicity of the sign character in each Sym^k (x) L^j slot."""
+        """Multiplicity of the sign character in each Sym^k (x) L^j slot, over n!."""
+        order = math.factorial(self.n)
+        weight = {lam: class_sign(lam) * (order // z_of(lam)) for lam in partitions_of(self.n)}
         result = {}
         for (k, j), vec in self.sym_multiplicities().items():
-            total = Fraction(0)
-            for ct, v in vec.items():
-                total += Fraction(class_sign(ct) * v, z_of(ct))
-            if total.denominator != 1:
+            total, rem = divmod(sum(weight[ct] * v for ct, v in vec.items()), order)
+            if rem:
                 raise RuntimeError(f"non-integral sign multiplicity at {(k, j)}")
             if total:
-                result[(k, j)] = int(total)
+                result[(k, j)] = total
         return result
 
 
-def ec_open_stratum(n: int) -> EquivariantClass:
-    """Equivariant e_c of the distinct-coordinate stratum in E^(n-1).
+@cache
+def _stratum_count(parts: tuple[int, ...]) -> dict:
+    """Trace of a cycle-type-``parts`` permutation on F(E, n)/E, by bin.
 
-    Inclusion-exclusion over the diagonal strata: for each permutation
-    the fixed set partitions form a sub-poset of the partition lattice,
-    and the trace on the open stratum is the Moebius-weighted sum of
-    traces on the sub-tori E_P, each of which is a smaller fiber power
-    carrying the induced block permutation.
+    The smallest part is peeled off, so each prefix's product is built
+    once and shared by every partition that extends it.
     """
-    if not 1 <= n <= MAX_STRATUM_POINTS:
-        raise ValueError(f"ec_open_stratum supports 1 <= n <= {MAX_STRATUM_POINTS}")
+    rest, d = parts[:-1], parts[-1]
+    factor = {(0, 0): -d * rest.count(d)}
+    for e in divisors(d):
+        mu = moebius(d // e)
+        if rest:  # mu (1 - alpha^e)(1 - alphabar^e)
+            terms = {(0, 0): mu, (e, e): -mu, (e, -e): -mu, (2 * e, 0): mu}.items()
+        else:  # the same, divided by (1 - alpha)(1 - alphabar)
+            terms = (((a + b, a - b), mu) for a in range(e) for b in range(e))
+        for key, c in terms:
+            factor[key] = factor.get(key, 0) + c
+    return _poly_mul(_stratum_count(rest) if rest else {(0, 0): 1}, factor)
+
+
+def ec_open_stratum(n: int) -> EquivariantClass:
+    """Equivariant e_c of the open stratum F(E, n)/E, by twisted point counts.
+
+    With Frobenius eigenvalues alpha and alphabar of E over F_q,
+    d N_d = sum_{e | d} mu(d/e) (1 - alpha^e)(1 - alphabar^e) is d times
+    the number of degree-d closed points of E.  With r_d the number of
+    parts of lam equal to d, the trace of a cycle-type-lam permutation is
+    prod_d prod_{t < r_d} (d N_d - d t) / ((1 - alpha)(1 - alphabar)), the
+    divisor being #E(F_q), which acts freely by translation.  The division
+    is folded into the factor of the largest part, whose t is 0:
+    sum_{e | d} mu(d/e) (sum_{a<e} alpha^a)(sum_{b<e} alphabar^b).  The
+    monomial alpha^i alphabar^j is the bin (m, w) = (i + j, i - j), with
+    the cohomological signs already folded in.
+    """
+    if n < 1:
+        raise ValueError("ec_open_stratum needs n >= 1")
     bins: dict[tuple[int, int], dict[Partition, int]] = {}
     for lam in partitions_of(n):
-        perm = perm_from_cycle_type(lam)
-        stable = stable_set_partitions(perm)
-        mob = stable_poset_mobius([p for p, _ in stable])
-        for p, pi in stable:
-            mu = mob[p]
-            traces = graded_traces(p.block_count, cycle_type(pi))
-            for (m, w), tr in traces.items():
-                signed = mu * tr * (-1) ** (m & 1)
-                vec = bins.setdefault((m, w), {})
-                vec[lam] = vec.get(lam, 0) + signed
-    bins = {
-        key: {ct: v for ct, v in vec.items() if v}
-        for key, vec in bins.items()
-    }
-    return EquivariantClass(n, {k: v for k, v in bins.items() if v})
+        for key, c in _stratum_count(tuple(lam)).items():
+            bins.setdefault(key, {})[lam] = c
+    return EquivariantClass(n, bins)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +243,7 @@ def interior_exact_series(max_degree: int):
 
 
 def interior_small_series(max_degree: int, n_max: int | None = None):
-    """Full equivariant interior e_c for degrees up to min(n_max, 6).
+    """Full equivariant interior e_c for degrees up to min(n_max, max_degree).
 
     Degree n is assembled from the open-stratum trace table: every
     Sym^k (x) L^j multiplicity is paired with the Euler characteristic
@@ -239,9 +251,7 @@ def interior_small_series(max_degree: int, n_max: int | None = None):
     """
     from . import symfunc as sf
 
-    if n_max is None:
-        n_max = MAX_STRATUM_POINTS
-    n_max = min(n_max, MAX_STRATUM_POINTS, max_degree)
+    n_max = max_degree if n_max is None else min(n_max, max_degree)
     terms: dict[Partition, MotiveClass] = {}
     for n in range(1, n_max + 1):
         ec = ec_open_stratum(n)

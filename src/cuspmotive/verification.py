@@ -9,6 +9,7 @@ the package's own memoization.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -163,11 +164,14 @@ def check_composition_invariance(max_degree: int = 14) -> CheckResult:
     return _run("composition-invariance", body)
 
 
-def check_interior(max_degree: int = 14, stratum_max: int = 6) -> CheckResult:
+def check_interior(max_degree: int = 14, stratum_max: int = pipeline.MAX_POINTS) -> CheckResult:
     def body():
         for n in range(1, stratum_max + 1):
             ec = genus1_fiber.ec_open_stratum(n)
             _expect(ec.is_weight_symmetric(), f"n={n}: weight table asymmetric")
+            euler = ec.identity_trace()
+            want = (-1) ** (n - 1) * math.factorial(n - 1)
+            _expect(euler == want, f"n={n}: e_c of the stratum is {euler}, want {want}")
             got = ec.alternating_parts()
             _expect(
                 got == {(n - 1, 0): (-1) ** (n - 1)},
@@ -578,7 +582,9 @@ def property_b0_palindromic(max_degree: int = 12) -> int:
     return cases
 
 
-def check_property_suites() -> CheckResult:
+def check_property_suites(max_degree: int = 14) -> CheckResult:
+    """Palindromy reads b0'(max(12, max_degree)), the battery's own b0'."""
+
     def body():
         counts = {
             "alt-multiplicative": property_alt_multiplicative(),
@@ -587,7 +593,7 @@ def check_property_suites() -> CheckResult:
             "alt-adams": property_alt_adams(),
             "character-orthogonality": property_character_orthogonality(),
             "fiber-characters": property_fiber_characters(),
-            "b0-palindromic": property_b0_palindromic(),
+            "b0-palindromic": property_b0_palindromic(max(12, max_degree)),
         }
         weak = {k: v for k, v in counts.items() if v < 100}
         _expect(not weak, f"suites below 100 cases: {weak}")
@@ -612,5 +618,5 @@ def run_all(max_degree: int = 14) -> list[CheckResult]:
         check_main_theorem(max_degree),
         check_row_bounds(),
         check_secondary_oracles(),
-        check_property_suites(),
+        check_property_suites(max_degree),
     ]

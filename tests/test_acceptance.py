@@ -52,7 +52,7 @@ def test_criterion_05_composition_invariance():
 
 def test_criterion_06_interior_pipeline():
     t0 = time.time()
-    result = verification.check_interior(14, stratum_max=6)
+    result = verification.check_interior(14, stratum_max=20)
     _criterion(6, result, 600, time.time() - t0)
 
 

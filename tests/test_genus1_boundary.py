@@ -95,17 +95,9 @@ def test_b1_low_degrees_palindromic():
             assert coeff == coeff.dual_in_dimension(m)
 
 
-def test_assemble_exposes_parts():
-    n = 3
-    a1 = fib.interior_exact_series(n)
-    asm = bdry.assemble(n, a1)
-    assert asm.inner_sum == a1 + asm.necklace + asm.correction
-    assert asm.composed == bdry.b1_series(n, a1)
-
-
-def test_assemble_requires_matching_truncation():
+def test_b1_series_requires_matching_truncation():
     with pytest.raises(ValueError):
-        bdry.assemble(5, fib.interior_exact_series(4))
+        bdry.b1_series(5, fib.interior_exact_series(4))
 
 
 def test_degree_guards():

@@ -5,6 +5,7 @@ from itertools import permutations, product
 
 import fiber_words as fw
 import pytest
+import stratum_mobius
 
 from cuspmotive import cli, genus1_fiber as fib, pipeline
 from cuspmotive.combinatorics import (
@@ -259,6 +260,11 @@ def test_ec_open_stratum_two_points_frozen():
     }
 
 
+def test_ec_open_stratum_matches_mobius_oracle():
+    for n in range(1, 8):
+        assert fib.ec_open_stratum(n).bins == stratum_mobius.stratum_bins(n)
+
+
 def test_ec_open_stratum_traces():
     ec3 = fib.ec_open_stratum(3)
     # full e_c traces: sum over all (degree, weight) bins
@@ -318,7 +324,9 @@ def test_range_guards(capsys):
         cli.main(["fiber", "-n", str(pipeline.MAX_POINTS + 1)])
     assert exc.value.code == 2
     assert f"between 2 and {pipeline.MAX_POINTS}" in capsys.readouterr().err
-    with pytest.raises(ValueError):
-        fib.ec_open_stratum(fib.MAX_STRATUM_POINTS + 1)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["open-stratum", "-n", str(pipeline.MAX_POINTS + 1)])
+    assert exc.value.code == 2
+    assert f"between 1 and {pipeline.MAX_POINTS}" in capsys.readouterr().err
     with pytest.raises(ValueError):
         fib.ec_open_stratum(0)

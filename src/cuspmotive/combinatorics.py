@@ -46,9 +46,6 @@ class Partition(tuple):
             mult[p] = mult.get(p, 0) + 1
         return mult
 
-    def even_part_count(self) -> int:
-        return sum(1 for p in self if p % 2 == 0)
-
 
 @cache
 def partitions_of(n: int) -> tuple[Partition, ...]:
@@ -77,12 +74,6 @@ def z_of(lam) -> int:
     for part, m in lam.multiplicities().items():
         z *= part**m * math.factorial(m)
     return z
-
-
-def class_size(lam) -> int:
-    """Number of permutations of cycle type lam."""
-    lam = Partition(lam)
-    return math.factorial(lam.size) // z_of(lam)
 
 
 def class_sign(lam) -> int:
@@ -162,13 +153,6 @@ def character(lam, mu) -> int:
             new_lam = new_lam[:-1]
         total += (-1) ** height * character(Partition(new_lam), rest)
     return total
-
-
-@cache
-def character_table(n: int) -> dict[tuple[Partition, Partition], int]:
-    """Full character table of S_n, keyed by (highest weight, class)."""
-    parts = partitions_of(n)
-    return {(lam, mu): character(lam, mu) for lam in parts for mu in parts}
 
 
 def character_dimension(lam) -> int:
@@ -265,10 +249,6 @@ def lattice_mobius(p: SetPartition) -> int:
 # Permutations.
 
 
-def identity_perm(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
-
-
 def perm_from_cycle_type(lam) -> tuple[int, ...]:
     """A representative permutation with the given cycle type.
 
@@ -298,11 +278,6 @@ def cycle_type(perm: tuple[int, ...]) -> Partition:
             l += 1
         lens.append(l)
     return Partition(sorted(lens, reverse=True))
-
-
-def compose_perms(sigma: tuple[int, ...], tau: tuple[int, ...]) -> tuple[int, ...]:
-    """(sigma o tau)(i) = sigma(tau(i))."""
-    return tuple(sigma[tau[i - 1] - 1] for i in range(1, len(sigma) + 1))
 
 
 def apply_perm_to_set_partition(perm: tuple[int, ...], p: SetPartition) -> SetPartition:

@@ -26,7 +26,8 @@ is being misused and raises immediately.
 The boundary needs only the alternating images of the derivatives a0',
 a0'' (both in p_1) and a0dot (in p_2).  :func:`a0_alt_derivatives` sums
 them degree by degree straight from the trace polynomials, each degree
-cached once for every truncation; the ``SymSeries`` derivatives
+cached once for every truncation, and :func:`b0_prime` is solved one
+cached degree at a time too.  The ``SymSeries`` derivatives
 :func:`a0_first_derivative`, :func:`a0_second_derivative` and
 :func:`a0_p2_derivative` remain for b0' and as the reference route.
 """
@@ -40,6 +41,7 @@ from functools import cache
 from . import symfunc as sf
 from .combinatorics import (
     Partition,
+    class_sign,
     divisors,
     moebius,
     partitions_of,
@@ -152,15 +154,15 @@ def a0_p2_derivative(max_degree: int) -> sf.SymSeries:
 def _signed_count_sums(size: int, weights) -> list[MotiveClass]:
     """sum_{lam |- size} w(lam) eps(lam) c_lam for each weight w of (m_1, m_2).
 
-    c_lam is the coefficient of p_lam in a0 and eps(lam) is (-1) to the
-    number of even parts.  Every z_lam divides size!, so each sum is kept in
+    c_lam is the coefficient of p_lam in a0 and eps(lam) is the sign of the
+    class lam.  Every z_lam divides size!, so each sum is kept in
     integers over that one denominator.
     """
     sums = [[0] * max(size - 2, 0) for _ in weights]
     fact = math.factorial(size)
     if size >= 3:
         for lam in partitions_of(size):
-            scale = fact // z_of(lam) * (-1) ** lam.even_part_count()
+            scale = fact // z_of(lam) * class_sign(lam)
             m1, m2 = lam.count(1), lam.count(2)
             poly = twisted_count_poly(lam)
             for acc, weight in zip(sums, weights):
@@ -239,28 +241,29 @@ def signed_lie(max_degree: int) -> sf.SymSeries:
 
 
 @cache
+def _b0_layer(t: int) -> tuple[tuple[Partition, MotiveClass], ...]:
+    """Degree-t terms of b0': the degree-t piece of a0' o (h_1 + b).
+
+    That piece only involves the degrees < t of b, which are the earlier
+    layers, so each layer is solved once for every truncation.
+    """
+    lower = {lam: c for s in range(2, t) for lam, c in _b0_layer(s)}
+    g = sf.complete(1, t) + sf.SymSeries(t, lower)
+    return tuple(a0_first_derivative(t).plethysm(g).degree_terms(t).items())
+
+
+@cache
 def b0_prime(max_degree: int) -> sf.SymSeries:
     """Unique solution of b = a0' o (h_1 + b), degrees 2..N.
 
-    The degree-t piece of the right side only involves degrees < t of b,
-    so the fixed point is found degree by degree; the closing assertion
-    reverifies the full equation at once.
+    Assembled from the cached layers, so b0'(12) is a slice of the work
+    done for b0'(14).  The whole equation is re-checked by the acceptance
+    battery (criterion 5), not here.
     """
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
-    n = max_degree
-    a0p = a0_first_derivative(n)
-    terms: dict[Partition, MotiveClass] = {}
-    for t in range(2, n + 1):
-        cur = sf.SymSeries(t, {l: c for l, c in terms.items() if l.size <= t})
-        g = sf.complete(1, t) + cur
-        rhs = a0p.truncate(t).plethysm(g)
-        for lam, c in rhs.degree_terms(t).items():
-            terms[lam] = c
-    b = sf.SymSeries(n, terms)
-    if a0p.plethysm(sf.complete(1, n) + b) != b:
-        raise RuntimeError("fixed-point solve failed to close")
-    return b
+    terms = {lam: c for t in range(2, max_degree + 1) for lam, c in _b0_layer(t)}
+    return sf.SymSeries(max_degree, terms)
 
 
 # ---------------------------------------------------------------------------

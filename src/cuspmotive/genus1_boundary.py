@@ -8,18 +8,18 @@ equivariant e_c is assembled from two genus-zero ingredients:
 
 * the necklace series: cycles of rational curves, counted by orbits of
   the rotation action, giving -(1/2) sum_m phi(m)/m log(1 - psi_m(a0''))
-  with psi_m the plethysm by p_m; the 1/2 accounts for the reflection;
+  with psi_m = p_m o (.); the 1/2 accounts for the reflection;
 * a correction series for the shortest cycles, where the dihedral count
   needs the two marked branches to be handled directly:
   (a0dot^2 + a0dot + (1/4) psi_2(a0'')) / (1 - psi_2(a0''))
   with a0dot the p_2-derivative of a0.
 
 Everything here is a formal identity in symmetric functions over the
-Tate subring.  The theorem needs only the alternating image, and Alt is
+Tate subring, written once for both series types with psi_m as their
+``adams(m)``.  The theorem needs only the alternating image, and Alt is
 the ring homomorphism p_k -> (-1)^(k-1) t^k, so :func:`boundary_alt`
-never builds the symmetric-function sum: it applies the same formula to
-the one-variable series Alt(a0'') and Alt(a0dot), with psi_m acting on
-them through :meth:`~cuspmotive.symfunc.AltSeries.adams`.  Those series
+never builds the symmetric-function sum: it runs the same formula on
+the one-variable series Alt(a0'') and Alt(a0dot).  Those series
 come from :func:`~cuspmotive.genus0.a0_alt_derivatives`, one cached
 degree at a time, so no symmetric-function derivative is built either.
 The result is the closed form t/(1 - t^2), i.e. exactly 1 in each odd
@@ -42,21 +42,25 @@ from functools import cache
 from . import genus0, symfunc as sf
 from .combinatorics import euler_phi
 
+_Series = sf.SymSeries | sf.AltSeries
 
-def necklace_from(a0pp: sf.SymSeries) -> sf.SymSeries:
-    """Necklace series built from a given second-derivative input."""
+
+def necklace_from(a0pp: _Series) -> _Series:
+    """Necklace series from a given second-derivative input of either series type.
+
+    psi_m is a ring endomorphism, so one logarithm serves every m.
+    """
     n = a0pp.max_degree
-    total = sf.zero(n)
+    log = sf.log_one_minus(a0pp)
+    total = type(a0pp)(n)
     for m in range(1, n + 1):
-        phi = Fraction(euler_phi(m), m)
-        psi_m = sf.power_sum(m, n).plethysm(a0pp)
-        total = total + sf.log_one_minus(psi_m).scaled(phi)
+        total = total + log.adams(m).scaled(Fraction(euler_phi(m), m))
     return total.scaled(Fraction(-1, 2))
 
 
-def correction_from(a0dot: sf.SymSeries, a0pp: sf.SymSeries) -> sf.SymSeries:
-    """Short-cycle correction from given derivative inputs."""
-    psi2 = sf.power_sum(2, a0pp.max_degree).plethysm(a0pp)
+def correction_from(a0dot: _Series, a0pp: _Series) -> _Series:
+    """Short-cycle correction from given derivative inputs of either series type."""
+    psi2 = a0pp.adams(2)
     num = a0dot * a0dot + a0dot + psi2.scaled(Fraction(1, 4))
     return num * sf.geometric(psi2)
 
@@ -87,20 +91,14 @@ def boundary_alt_from(
 ) -> sf.AltSeries:
     """Alternating image of the boundary sum from Alt(a0'), Alt(a0''), Alt(a0dot).
 
-    -(1/2) sum_m phi(m)/m log(1 - A_m) + (D^2 + D + (1/4) A_2) / (1 - A_2)
-    with A_m = Alt(psi_m(a0'')) = ``a0pp.adams(m)`` and D = ``a0dot``.  A
-    nonzero Alt(a0') would let the composition with h_1 + b0' move the
-    result, and is fatal.
+    Alt is a ring homomorphism that turns psi_m into ``AltSeries.adams(m)``,
+    so this is :func:`necklace_from` plus :func:`correction_from` on the
+    alternating images.  A nonzero Alt(a0') would let the composition with
+    h_1 + b0' move the result, and is fatal.
     """
     if a0p.items():
         raise RuntimeError("Alt(a0') is nonzero, so composition could move Alt")
-    n = a0pp.max_degree
-    total = sf.AltSeries(n)
-    for m in range(1, n + 1):
-        total = total + sf.log_one_minus(a0pp.adams(m)).scaled(Fraction(euler_phi(m), m))
-    alt2 = a0pp.adams(2)
-    num = a0dot * a0dot + a0dot + alt2.scaled(Fraction(1, 4))
-    return total.scaled(Fraction(-1, 2)) + num * sf.geometric(alt2)
+    return necklace_from(a0pp) + correction_from(a0dot, a0pp)
 
 
 @cache

@@ -209,13 +209,13 @@ class SymSeries:
     def alt(self) -> "AltSeries":
         """Alternating functional: sum_n <s_(1^n), f_n> t^n.
 
-        In the power-sum basis <s_(1^n), p_lam> = (-1)^(number of even
-        parts of lam), so this is a signed sum of coefficients.
+        In the power-sum basis <s_(1^n), p_lam> is the sign of the class
+        lam, so this is a signed sum of coefficients.
         """
         coeffs: dict[int, MotiveClass] = {}
         for lam, c in self._terms.items():
             n = lam.size
-            signed = c if lam.even_part_count() % 2 == 0 else -c
+            signed = c if class_sign(lam) > 0 else -c
             prev = coeffs.get(n)
             coeffs[n] = signed if prev is None else prev + signed
         return AltSeries(self.max_degree, coeffs)
@@ -245,14 +245,28 @@ class SymSeries:
 
     # -- plethysm -------------------------------------------------------
 
+    def adams(self, m: int) -> "SymSeries":
+        """p_m o f for a Tate-only f: p_lam -> p_(m*lam), each coefficient
+        by the m-th Adams operation, terms past the truncation dropped."""
+        if m < 1:
+            raise ValueError("m must be >= 1")
+        return SymSeries(
+            self.max_degree,
+            {
+                Partition(tuple(part * m for part in lam)): c.adams(m)
+                for lam, c in self._terms.items()
+                if lam.size * m <= self.max_degree
+            },
+        )
+
     def plethysm(self, g: "SymSeries") -> "SymSeries":
         """Plethystic composition f[g].
 
-        p_k acts by p_i -> p_(i*k) on the variables of g and as the k-th
-        Adams operation on its Tate coefficients; the outer coefficients
-        of f pass through unchanged.  Requires g to have zero constant
-        term (else the result is not a finite computation) and Tate-only
-        coefficients (Adams operations do not act on cusp symbols).
+        p_lam o g is the product of ``g.adams(k)`` over the parts k of
+        lam, shared by every lam with the same tail; the outer
+        coefficients of f pass through unchanged.  Requires g to have zero
+        constant term (else the result is not a finite computation) and
+        Tate-only coefficients (Adams operations do not act on cusp symbols).
         """
         self._require_same_degree(g)
         if not g.constant_term().is_zero():
@@ -262,44 +276,21 @@ class SymSeries:
                 "plethysm requires Tate-only coefficients in the inner series"
             )
         n = self.max_degree
+        psi: dict[int, SymSeries] = {}
+        partial: dict[Partition, SymSeries] = {Partition(()): one(n)}
 
-        psi: dict[int, dict[Partition, MotiveClass]] = {}
-
-        def psi_k(k: int) -> dict[Partition, MotiveClass]:
-            got = psi.get(k)
-            if got is None:
-                got = {}
-                for lam, c in g._terms.items():
-                    if lam.size * k <= n:
-                        got[Partition(tuple(part * k for part in lam))] = c.adams(k)
-                psi[k] = got
-            return got
-
-        partial: dict[Partition, dict[Partition, MotiveClass]] = {
-            Partition(()): {Partition(()): MotiveClass.one()}
-        }
-
-        def partial_product(lam: Partition) -> dict[Partition, MotiveClass]:
+        def partial_product(lam: Partition) -> SymSeries:
             got = partial.get(lam)
             if got is None:
-                tail = partial_product(Partition(lam[1:]))
-                head = psi_k(lam[0])
-                got = {}
-                for mu, a in tail.items():
-                    sa = mu.size
-                    for nu, b in head.items():
-                        if sa + nu.size > n:
-                            continue
-                        key = Partition(sorted(mu + nu, reverse=True))
-                        c = a * b
-                        prev = got.get(key)
-                        got[key] = c if prev is None else prev + c
-                partial[lam] = got
+                k = lam[0]
+                if k not in psi:
+                    psi[k] = g.adams(k)
+                got = partial[lam] = partial_product(Partition(lam[1:])) * psi[k]
             return got
 
         terms: dict[Partition, MotiveClass] = {}
         for lam, c in self._terms.items():
-            for mu, inner_c in partial_product(lam).items():
+            for mu, inner_c in partial_product(lam)._terms.items():
                 add = c * inner_c
                 prev = terms.get(mu)
                 terms[mu] = add if prev is None else prev + add

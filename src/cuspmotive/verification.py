@@ -143,7 +143,12 @@ def check_alt_boundary(max_degree: int = 14) -> CheckResult:
 def check_composition_invariance(max_degree: int = 14) -> CheckResult:
     def body():
         n = max_degree
-        stable = sf.complete(1, n) + genus0.b0_prime(n)
+        b = genus0.b0_prime(n)
+        stable = sf.complete(1, n) + b
+        _expect(
+            genus0.a0_first_derivative(n).plethysm(stable) == b,
+            "b0' does not solve the fixed point b = a0' o (h_1 + b)",
+        )
         u = genus1_boundary.boundary_sum(n)
         _expect(
             u.plethysm(stable).alt() == u.alt(),
@@ -159,7 +164,7 @@ def check_composition_invariance(max_degree: int = 14) -> CheckResult:
             a1e.plethysm(stable).alt() == a1e.alt(),
             "lifted interior alternating image moved under composition",
         )
-        return f"boundary and interior fixed by composition at N={n}"
+        return f"b0' is the fixed point; boundary and interior fixed by composition at N={n}"
 
     return _run("composition-invariance", body)
 

@@ -180,6 +180,15 @@ def transposition_action(n: int, i: int) -> dict:
     return out
 
 
+def identity_perm(n: int) -> tuple[int, ...]:
+    return tuple(range(1, n + 1))
+
+
+def compose_perms(sigma: tuple[int, ...], tau: tuple[int, ...]) -> tuple[int, ...]:
+    """(sigma o tau)(i) = sigma(tau(i))."""
+    return tuple(sigma[tau[i - 1] - 1] for i in range(1, len(sigma) + 1))
+
+
 def adjacent_transposition_word(perm: tuple[int, ...]) -> list[int]:
     """Write perm as a composition of adjacent transpositions.
 

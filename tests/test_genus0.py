@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import fraction_counts as fc
@@ -183,6 +184,38 @@ def test_b0_prime_solves_fixed_point():
     b = genus0.b0_prime(n)
     a0p = genus0.a0_first_derivative(n)
     assert a0p.plethysm(sf.complete(1, n) + b) == b
+
+
+def _keel_poincare(n_max):
+    """Poincare polynomials h_n(q) of M_(0,n)-bar by Keel's recursion.
+
+    h_3 = 1 and h_(n+1) = (1 + q) h_n + (q/2) sum_(i=2..n-2) C(n, i) h_(i+1) h_(n-i+1).
+    """
+    h = {3: [Fraction(1)]}
+    for n in range(3, n_max):
+        nxt = [Fraction(0)] * (n - 1)
+        for j, c in enumerate(h[n]):
+            nxt[j] += c
+            nxt[j + 1] += c
+        for i in range(2, n - 1):
+            for a, x in enumerate(h[i + 1]):
+                for b, y in enumerate(h[n - i + 1]):
+                    nxt[a + b + 1] += Fraction(math.comb(n, i), 2) * x * y
+        h[n + 1] = nxt
+    return h
+
+
+def test_b0_prime_ranks_match_keel_recursion():
+    """The rank of the degree-n piece of b0' is the Poincare polynomial of M_(0,n+1)-bar."""
+    n_max = 12
+    h = _keel_poincare(n_max + 1)
+    assert h[7] == [1, 42, 127, 42, 1]
+    assert h[9] == [1, 219, 3292, 7723, 3292, 219, 1]
+    b = genus0.b0_prime(n_max)
+    for n in range(2, n_max + 1):
+        rank = b.dimension(n)
+        assert [rank.tate_coefficient(j) for j in range(n - 1)] == h[n + 1], n
+        assert all(j < n - 1 for j, _ in rank.tate_items()), n
 
 
 def test_poincare_schur_small():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from cuspmotive import genus0, genus1_boundary as bdry, genus1_fiber as fib, pipeline, symfunc as sf
-from cuspmotive.combinatorics import Partition
+from cuspmotive.combinatorics import Partition, euler_phi
 from cuspmotive.motive import L, ONE, MotiveClass
 
 
@@ -21,6 +21,21 @@ def test_necklace_degree_one_and_two():
 def test_correction_degree_one():
     corr = bdry.correction_series(2)
     assert corr.coefficient(P(1)) == Fraction(1, 2) * ONE
+
+
+def test_shared_formula_matches_plethysm_route():
+    """Oracle: psi_m(a0'') as the plethysm p_m o a0'', and one logarithm per m."""
+    for n in range(2, 11):
+        a0pp = genus0.a0_second_derivative(n)
+        a0dot = genus0.a0_p2_derivative(n)
+        neck = sf.zero(n)
+        for m in range(1, n + 1):
+            log = sf.log_one_minus(sf.power_sum(m, n).plethysm(a0pp))
+            neck = neck + log.scaled(Fraction(euler_phi(m), m))
+        assert bdry.necklace_from(a0pp) == neck.scaled(Fraction(-1, 2)), n
+        psi2 = sf.power_sum(2, n).plethysm(a0pp)
+        corr = (a0dot * a0dot + a0dot + psi2.scaled(Fraction(1, 4))) * sf.geometric(psi2)
+        assert bdry.correction_from(a0dot, a0pp) == corr, n
 
 
 def test_zero_inputs_give_zero():

@@ -11,9 +11,7 @@ from cuspmotive import cli, genus1_fiber as fib, pipeline
 from cuspmotive.combinatorics import (
     Partition,
     class_sign,
-    compose_perms,
     cycle_type,
-    identity_perm,
     partitions_of,
     perm_from_cycle_type,
 )
@@ -130,12 +128,12 @@ def test_action_respects_multiplication():
 def test_permutation_action_contravariant():
     rng = random.Random(31)
     for n, _ in product(range(2, 6), range(40)):
-        sig = list(identity_perm(n))
-        tau = list(identity_perm(n))
+        sig = list(fw.identity_perm(n))
+        tau = list(fw.identity_perm(n))
         rng.shuffle(sig)
         rng.shuffle(tau)
         sig, tau = tuple(sig), tuple(tau)
-        lhs = fw.permutation_action(n, compose_perms(sig, tau))
+        lhs = fw.permutation_action(n, fw.compose_perms(sig, tau))
         m_s = fw.permutation_action(n, sig)
         m_t = fw.permutation_action(n, tau)
         rhs = {w: fw.apply_map(m_t, combo) for w, combo in m_s.items()}
@@ -146,11 +144,11 @@ def test_adjacent_transposition_word_reconstructs():
     for lam in partitions_of(5):
         sigma = perm_from_cycle_type(lam)
         word = fw.adjacent_transposition_word(sigma)
-        acc = identity_perm(5)
+        acc = fw.identity_perm(5)
         for i in word:
-            t = list(identity_perm(5))
+            t = list(fw.identity_perm(5))
             t[i - 1], t[i] = t[i], t[i - 1]
-            acc = compose_perms(tuple(t), acc)
+            acc = fw.compose_perms(tuple(t), acc)
         assert acc == sigma
 
 

@@ -115,6 +115,23 @@ def test_plethysm_adams_on_coefficients():
     assert out3.coefficient(P(6)) == L**3 + ONE
 
 
+def test_symseries_adams():
+    f = sf.SymSeries(7, {P(2, 1): L, P(3): ONE})
+    assert f.adams(2) == sf.SymSeries(7, {P(4, 2): L * L, P(6): ONE})
+    assert f.adams(1) == f
+    # p_(2,1) -> p_(4,2) and p_3 -> p_6 pass the truncation at 5 and drop
+    low = sf.SymSeries(5, {P(2, 1): L, P(3): ONE, P(2): L + ONE})
+    assert low.adams(2) == sf.SymSeries(5, {P(4): L * L + ONE})
+    # p_m o g for a Tate-only g
+    g = sf.complete(2, 6).scaled(L) + sf.power_sum(1, 6) * sf.power_sum(2, 6)
+    for m in range(1, 7):
+        assert g.adams(m) == sf.power_sum(m, 6).plethysm(g)
+    with pytest.raises(ValueError):
+        f.adams(0)
+    with pytest.raises(UnsupportedCuspOperation):
+        sf.SymSeries(4, {P(1): MotiveClass.cusp(12)}).adams(2)
+
+
 def test_plethysm_guards():
     with_constant = sf.one(4) + sf.power_sum(1, 4)
     with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ from itertools import product
 
 import field_tables as ft
 
-from cuspmotive import verification
+from cuspmotive import genus0, symfunc as sf, verification
 
 
 def _oracle_fields():
@@ -36,3 +36,11 @@ def test_certificate_rejects_non_primitive_moduli():
             assert verification._is_primitive(p, tail) == (
                 ft.exponent_table(p, tail) is not None
             ), (p, tail)
+
+
+def test_composition_invariance_rejects_perturbed_b0_prime(monkeypatch):
+    solve = genus0.b0_prime
+    monkeypatch.setattr(genus0, "b0_prime", lambda n: solve(n) + sf.complete(6, n))
+    result = verification.check_composition_invariance(6)
+    assert not result.passed
+    assert "does not solve the fixed point" in result.detail

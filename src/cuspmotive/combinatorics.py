@@ -23,6 +23,8 @@ class Partition(tuple):
     """An integer partition stored as a weakly decreasing tuple."""
 
     def __new__(cls, parts=()):
+        if type(parts) is cls:  # immutable and already validated
+            return parts
         parts = tuple(int(p) for p in parts)
         for p in parts:
             if p < 1:

@@ -151,26 +151,27 @@ def a0_p2_derivative(max_degree: int) -> sf.SymSeries:
     return a0_series(max_degree + 2).p_derivative(2)
 
 
-def _signed_count_sums(size: int, weights) -> list[MotiveClass]:
-    """sum_{lam |- size} w(lam) eps(lam) c_lam for each weight w of (m_1, m_2).
+@cache
+def _signed_count_sums(size: int) -> tuple[MotiveClass, MotiveClass, MotiveClass]:
+    """sum_{lam |- size} w(lam) eps(lam) c_lam for w = m_1, m_1 (m_1 - 1) and -m_2.
 
-    c_lam is the coefficient of p_lam in a0 and eps(lam) is the sign of the
-    class lam.  Every z_lam divides size!, so each sum is kept in
-    integers over that one denominator.
+    c_lam is the coefficient of p_lam in a0, eps(lam) the sign of the class
+    lam and m_d the number of parts d.  Every z_lam divides size!, so each
+    sum is kept in integers over that one denominator.
     """
-    sums = [[0] * max(size - 2, 0) for _ in weights]
+    sums = [[0] * max(size - 2, 0) for _ in range(3)]
     fact = math.factorial(size)
     if size >= 3:
         for lam in partitions_of(size):
             scale = fact // z_of(lam) * class_sign(lam)
             m1, m2 = lam.count(1), lam.count(2)
             poly = twisted_count_poly(lam)
-            for acc, weight in zip(sums, weights):
-                w = weight(m1, m2) * scale
+            for acc, weight in zip(sums, (m1, m1 * (m1 - 1), -m2)):
+                w = weight * scale
                 if w:
                     for j, c in enumerate(poly):
                         acc[j] += w * c
-    return [MotiveClass(tate={j: Fraction(c, fact) for j, c in enumerate(acc)}) for acc in sums]
+    return tuple(MotiveClass(tate={j: Fraction(c, fact) for j, c in enumerate(acc)}) for acc in sums)
 
 
 @cache
@@ -183,9 +184,7 @@ def _alt_derivative_layer(n: int) -> tuple[MotiveClass, MotiveClass, MotiveClass
     sums m_1 (m_1 - 1) eps c_lam over lam |- n+2, and [t^n] Alt(a0dot)
     sums -m_2 eps c_lam over lam |- n+2.
     """
-    (first,) = _signed_count_sums(n + 1, (lambda m1, m2: m1,))
-    second, p2 = _signed_count_sums(n + 2, (lambda m1, m2: m1 * (m1 - 1), lambda m1, m2: -m2))
-    return first, second, p2
+    return _signed_count_sums(n + 1)[0], *_signed_count_sums(n + 2)[1:]
 
 
 def a0_alt_derivatives(max_degree: int) -> tuple[sf.AltSeries, sf.AltSeries, sf.AltSeries]:

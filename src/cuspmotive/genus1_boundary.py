@@ -16,14 +16,16 @@ equivariant e_c is assembled from two genus-zero ingredients:
 
 Everything here is a formal identity in symmetric functions over the
 Tate subring, written once for both series types with psi_m as their
-``adams(m)``.  The theorem needs only the alternating image, and Alt is
-the ring homomorphism p_k -> (-1)^(k-1) t^k, so :func:`boundary_alt`
-never builds the symmetric-function sum: it runs the same formula on
-the one-variable series Alt(a0'') and Alt(a0dot).  Those series
-come from :func:`~cuspmotive.genus0.a0_alt_derivatives`, one cached
-degree at a time, so no symmetric-function derivative is built either.
-The result is the closed form t/(1 - t^2), i.e. exactly 1 in each odd
-degree.
+``adams(m)``.  Its log(1 - .) and 1/(1 - .) are solved one degree at a
+time from the homogeneous parts of their argument, O(N^2) products of
+parts at truncation N (:mod:`~cuspmotive.symfunc`).  The theorem needs
+only the alternating image, and Alt is the ring homomorphism
+p_k -> (-1)^(k-1) t^k, so :func:`boundary_alt` never builds the
+symmetric-function sum: it runs the same formula on the one-variable
+series Alt(a0'') and Alt(a0dot).  Those series come from
+:func:`~cuspmotive.genus0.a0_alt_derivatives`, one cached degree at a
+time, so no symmetric-function derivative is built either.  The result
+is the closed form t/(1 - t^2), i.e. exactly 1 in each odd degree.
 
 The composition with h_1 + b0' does not move the alternating image.
 Alt(a0' o (h_1 + b)) is a0' evaluated at p_k -> Alt(psi_k(h_1 + b)), so

@@ -138,12 +138,12 @@ class EquivariantClass:
                 out[(w, (m - w) // 2)] = diff
         return out
 
-    def alternating_parts(self) -> dict:
-        """Multiplicity of the sign character in each Sym^k (x) L^j slot, over n!."""
+    def alternating_parts(self, sym: dict | None = None) -> dict:
+        """Sign multiplicity per Sym^k (x) L^j slot, from ``sym_multiplicities()`` or ``sym``."""
         order = math.factorial(self.n)
         weight = {lam: class_sign(lam) * (order // z_of(lam)) for lam in partitions_of(self.n)}
         result = {}
-        for (k, j), vec in self.sym_multiplicities().items():
+        for (k, j), vec in (self.sym_multiplicities() if sym is None else sym).items():
             total, rem = divmod(sum(weight[ct] * v for ct, v in vec.items()), order)
             if rem:
                 raise RuntimeError(f"non-integral sign multiplicity at {(k, j)}")

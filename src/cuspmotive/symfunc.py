@@ -74,10 +74,6 @@ class SymSeries:
     def degree_terms(self, n: int) -> dict[Partition, MotiveClass]:
         return {lam: c for lam, c in self._terms.items() if lam.size == n}
 
-    def min_degree(self):
-        """Smallest degree with a nonzero term, or None for the zero series."""
-        return min((lam.size for lam in self._terms), default=None)
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -380,9 +376,11 @@ class AltSeries:
     def items(self):
         return tuple(sorted(self._coeffs.items()))
 
-    def min_degree(self):
-        """Smallest degree with a nonzero coefficient, or None for 0."""
-        return min(self._coeffs, default=None)
+    def degree_terms(self, n: int) -> dict[int, MotiveClass]:
+        return {n: self._coeffs[n]} if n in self._coeffs else {}
+
+    def is_zero(self) -> bool:
+        return not self._coeffs
 
     def constant_term(self) -> MotiveClass:
         return self.coefficient(0)
@@ -514,35 +512,40 @@ def schur(lam, max_degree: int) -> SymSeries:
 # -- series functions ------------------------------------------------------
 
 
-def _powers_accumulate(g: SymSeries | AltSeries, weight) -> SymSeries | AltSeries:
-    """sum_{m >= 1} weight(m) * g^m, truncated; g must start in degree >= 1.
+def _degree_recurrence(g: SymSeries | AltSeries, x0: dict, lead: int) -> list:
+    """[x_0, ..., x_N] with x_n = lead * n * g_n + sum_{k=1..n} g_k x_(n-k).
 
-    The result has the type of ``g``, as have the series functions below.
+    g must have zero constant term.  Its homogeneous parts g_n are split
+    off once, so this is O(N^2) products of parts, zero factors skipped.
     """
     if not g.constant_term().is_zero():
         raise ValueError("series function requires zero constant term")
-    mind = g.min_degree()
-    total = type(g)(g.max_degree)
-    if mind is None:
-        return total
-    power = g
-    m = 1
-    while m * mind <= g.max_degree:
-        w = weight(m)
-        if w:
-            total = total + power.scaled(w)
-        m += 1
-        if m * mind <= g.max_degree:
-            power = power * g
-    return total
+    parts = [type(g)(g.max_degree, g.degree_terms(n)) for n in range(g.max_degree + 1)]
+    x = [type(g)(g.max_degree, x0)]
+    for n in range(1, len(parts)):
+        x_n = parts[n].scaled(lead * n) if lead else parts[0]
+        for k in range(1, n + 1):
+            if not (parts[k].is_zero() or x[n - k].is_zero()):
+                x_n = x_n + parts[k] * x[n - k]
+        x.append(x_n)
+    return x
 
 
 def log_one_minus(g: SymSeries | AltSeries) -> SymSeries | AltSeries:
-    """log(1 - g) = -sum_{m>=1} g^m / m for g with zero constant term."""
-    return _powers_accumulate(g, lambda m: Fraction(-1, m))
+    """log(1 - g) for g with zero constant term, one degree at a time.
+
+    With E the Euler derivation (the degree-n part times n),
+    (1 - g) E(log(1 - g)) = -E(g), so e_n = n [log(1 - g)]_n satisfies
+    e_n = -n g_n + sum_{k=1..n-1} e_k g_(n-k).  The result has the type
+    of ``g``, as has :func:`geometric`.
+    """
+    e = _degree_recurrence(g, {}, -1)
+    terms = {key: c * Fraction(1, n) for n, e_n in enumerate(e) for key, c in e_n.items()}
+    return type(g)(g.max_degree, terms)
 
 
 def geometric(g: SymSeries | AltSeries) -> SymSeries | AltSeries:
-    """1/(1 - g) = sum_{m>=0} g^m for g with zero constant term."""
-    unit = type(g)(g.max_degree, {g._UNIT_KEY: 1})
-    return unit + _powers_accumulate(g, lambda m: Fraction(1))
+    """1/(1 - g) for g with zero constant term: G_0 = 1 and
+    G_n = sum_{k=1..n} g_k G_(n-k), one degree at a time."""
+    geo = _degree_recurrence(g, {g._UNIT_KEY: 1}, 0)
+    return type(g)(g.max_degree, {key: c for G_n in geo for key, c in G_n.items()})

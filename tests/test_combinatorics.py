@@ -27,7 +27,10 @@ from cuspmotive.combinatorics import (
 
 
 def test_partition_validation():
-    assert Partition((3, 1, 1)).size == 5
+    lam = Partition((3, 1, 1))
+    assert lam.size == 5
+    assert Partition(lam) is lam
+    assert Partition([3, 1, 1]) == lam and Partition([3, 1, 1]) is not lam
     assert Partition(()).size == 0
     with pytest.raises(ValueError):
         Partition((1, 2))

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -281,6 +282,24 @@ def test_ec_open_stratum_alternating_parts():
     for n in range(1, 6):
         ec = fib.ec_open_stratum(n)
         assert ec.alternating_parts() == {(n - 1, 0): (-1) ** (n - 1)}
+        assert ec.alternating_parts(ec.sym_multiplicities()) == ec.alternating_parts()
+
+
+def test_open_stratum_json_computes_sym_multiplicities_once(capsys, monkeypatch):
+    calls = []
+    computed = fib.EquivariantClass.sym_multiplicities
+
+    def counted(self):
+        calls.append(self.n)
+        return computed(self)
+
+    monkeypatch.setattr(fib.EquivariantClass, "sym_multiplicities", counted)
+    for n in (1, 3, 5):
+        calls.clear()
+        assert cli.main(["open-stratum", "-n", str(n), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["result"]["alternating"] == [[n - 1, 0, (-1) ** (n - 1)]]
+        assert calls == [n]
 
 
 def test_sym_multiplicities_two_points():

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+import power_chain
 import pytest
 
 from cuspmotive import symfunc as sf
 from cuspmotive.combinatorics import Partition, partitions_of
 from cuspmotive.motive import L, ONE, MotiveClass, UnsupportedCuspOperation
+from cuspmotive.verification import _random_series
 
 
 def P(*parts):
@@ -262,3 +264,46 @@ def test_json_round_trips():
     assert doc["basis"] == "schur"
     alt_doc = f.alt().to_json()
     assert alt_doc["max_degree"] == 4
+
+
+def _outcome(fn, g):
+    try:
+        return fn(g)
+    except UnsupportedCuspOperation as exc:
+        return type(exc)
+
+
+def test_series_functions_match_power_chain():
+    rng = random.Random(2026)
+    for max_degree in range(1, 11):
+        for min_degree in (1, 2, 3):
+            for series in (
+                _random_series(rng, max_degree, min_degree=min_degree),
+                _random_series(rng, max_degree, min_degree=min_degree).alt(),
+                sf.SymSeries(max_degree),
+                sf.AltSeries(max_degree),
+            ):
+                assert sf.log_one_minus(series) == power_chain.log_one_minus(series)
+                assert sf.geometric(series) == power_chain.geometric(series)
+
+
+def test_series_functions_match_power_chain_on_cusp_coefficients():
+    rng = random.Random(4)
+    raised = kept_cusp = 0
+    for max_degree in range(2, 11):
+        for min_degree in (1, 2, 3):
+            g = _random_series(rng, max_degree, allow_cusp=True, min_degree=min_degree)
+            for series in (g, g.alt()):
+                for fn, oracle in (
+                    (sf.log_one_minus, power_chain.log_one_minus),
+                    (sf.geometric, power_chain.geometric),
+                ):
+                    got = _outcome(fn, series)
+                    assert got == _outcome(oracle, series)
+                    if got is UnsupportedCuspOperation:
+                        raised += 1
+                    elif any(not c.is_tate_only() for _, c in got.items()):
+                        kept_cusp += 1
+    # both kinds of cusp input occurred: a product of two cusp symbols inside
+    # the truncation, and cusp terms too far apart to meet
+    assert raised and kept_cusp

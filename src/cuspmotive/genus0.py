@@ -23,13 +23,20 @@ partitions that share a prefix share its product.  The division by the
 monic q^3 - q is exact in Z[q]; a nonzero remainder would mean the formula
 is being misused and raises immediately.
 
+The series :func:`a0_series` is stored by exactly these traces: the
+trace of lam is :func:`twisted_count_poly` of lam, an integer polynomial,
+so building it makes no Fraction (:mod:`~cuspmotive.symfunc`).  Its
+p-derivatives are index shifts of the same traces; a0' has trace
+``twisted_count_poly(mu + (1,))`` on mu.
+
 The boundary needs only the alternating images of the derivatives a0',
 a0'' (both in p_1) and a0dot (in p_2).  :func:`a0_alt_derivatives` sums
 them degree by degree straight from the trace polynomials, each degree
-cached once for every truncation, and :func:`b0_prime` is solved one
-cached degree at a time too.  The ``SymSeries`` derivatives
-:func:`a0_first_derivative`, :func:`a0_second_derivative` and
-:func:`a0_p2_derivative` remain for b0' and as the reference route.
+cached once for every truncation.  :func:`b0_prime` is solved one cached
+degree at a time, each degree one integer plethysm a0' o (h_1 + b).  The
+``SymSeries`` derivatives :func:`a0_first_derivative`,
+:func:`a0_second_derivative` and :func:`a0_p2_derivative` serve b0', the
+boundary series and the reference route of the battery.
 """
 
 from __future__ import annotations
@@ -124,16 +131,20 @@ def twisted_count_poly(lam) -> tuple[int, ...]:
 
 @cache
 def a0_series(max_degree: int) -> sf.SymSeries:
-    """Equivariant e_c of n distinct points on P^1 mod PGL_2, degrees 3..N."""
+    """Equivariant e_c of n distinct points on P^1 mod PGL_2, degrees 3..N.
+
+    Its trace on the class lam is ``twisted_count_poly(lam)`` unchanged.
+    """
     if max_degree < 3:
         raise ValueError("max_degree must be >= 3")
-    terms = {}
-    for n in range(3, max_degree + 1):
-        for lam in partitions_of(n):
-            z = z_of(lam)
-            poly = twisted_count_poly(lam)
-            terms[lam] = MotiveClass(tate={j: Fraction(c, z) for j, c in enumerate(poly) if c})
-    return sf.SymSeries(max_degree, terms)
+    return sf.SymSeries.from_traces(
+        max_degree,
+        {
+            lam: twisted_count_poly(lam)
+            for n in range(3, max_degree + 1)
+            for lam in partitions_of(n)
+        },
+    )
 
 
 @cache
@@ -240,15 +251,16 @@ def signed_lie(max_degree: int) -> sf.SymSeries:
 
 
 @cache
-def _b0_layer(t: int) -> tuple[tuple[Partition, MotiveClass], ...]:
-    """Degree-t terms of b0': the degree-t piece of a0' o (h_1 + b).
+def _b0_layer(t: int) -> sf.SymSeries:
+    """Degree-t part of b0', at truncation t: the degree-t piece of a0' o (h_1 + b).
 
     That piece only involves the degrees < t of b, which are the earlier
     layers, so each layer is solved once for every truncation.
     """
-    lower = {lam: c for s in range(2, t) for lam, c in _b0_layer(s)}
-    g = sf.complete(1, t) + sf.SymSeries(t, lower)
-    return tuple(a0_first_derivative(t).plethysm(g).degree_terms(t).items())
+    g = sf.complete(1, t)
+    for s in range(2, t):
+        g = g + _b0_layer(s).zero_extended(t)
+    return a0_first_derivative(t).plethysm(g).homogeneous(t)
 
 
 @cache
@@ -261,8 +273,10 @@ def b0_prime(max_degree: int) -> sf.SymSeries:
     """
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
-    terms = {lam: c for t in range(2, max_degree + 1) for lam, c in _b0_layer(t)}
-    return sf.SymSeries(max_degree, terms)
+    total = sf.zero(max_degree)
+    for t in range(2, max_degree + 1):
+        total = total + _b0_layer(t).zero_extended(max_degree)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -275,18 +289,17 @@ def poincare_schur(n: int):
     Returns a list indexed by i = 0..n-3 of dicts mapping partitions to
     nonnegative integer multiplicities.  H^i is Tate of weight 2(n-3-i)
     in compact support, so as a representation it is (-1)^i times the
-    L^(n-3-i) layer of the degree-n piece of a0.
+    L^(n-3-i) layer of the degree-n piece of a0.  One Schur expansion of
+    that piece serves every layer.
     """
     if not 3 <= n <= 10:
         raise ValueError("poincare_schur supports 3 <= n <= 10")
-    piece = sf.SymSeries(n, a0_series(n).degree_terms(n))
+    table = a0_series(n).to_schur(n)
     out = []
     for i in range(n - 2):
-        layer = piece.tate_layer(n - 3 - i)
-        table = layer.to_schur(n)
         rep: dict[Partition, int] = {}
         for lam, c in table.items():
-            v = c.as_rational() * (-1) ** i
+            v = c.tate_coefficient(n - 3 - i) * (-1) ** i
             if v.denominator != 1 or v < 0:
                 raise RuntimeError(
                     f"H^{i} of the {n}-point space is not an honest representation"

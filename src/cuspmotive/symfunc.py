@@ -1,21 +1,51 @@
-"""Truncated symmetric functions with motive-class coefficients.
+"""Truncated symmetric functions, stored by their integer traces.
 
-A :class:`SymSeries` is a symmetric function of bounded degree written in
-the power-sum basis: a finite sum ``sum_lam c_lam * p_lam`` with ``c_lam``
-a :class:`~cuspmotive.motive.MotiveClass` and ``lam`` ranging over
-partitions of size at most the truncation degree.  The power-sum basis is
-canonical here because every operation the package needs (products,
-plethysms, derivatives, the alternating functional) is diagonal or
-monomial in it; Schur expansions are provided as a view.
+A :class:`SymSeries` is a symmetric function of bounded degree,
+``sum_lam c_lam p_lam`` over partitions lam of size at most the
+truncation degree, with each ``c_lam`` a
+:class:`~cuspmotive.motive.MotiveClass`.  It is stored by its traces
+f_lam = z_lam c_lam, the value of the class function at a permutation of
+cycle type lam.  Each trace is a polynomial in L with integer
+coefficients (a tuple, constant term first) in one channel per kind of
+class: channel 0 holds the Tate part and channel k the coefficient of
+the cusp symbol S[k].  One positive integer denominator D per series
+covers rational coefficients, c_lam = f_lam / (z_lam D).  D is 1 for a0,
+b0', h_k and s_lam, and coprime to the content of the traces otherwise,
+so equal series are stored equally.
 
-Degree bookkeeping is strict: all binary operations require both operands
-to carry the same truncation degree, and every operation that loses
-precision (``p_derivative``) returns a series with the correspondingly
-lower truncation.
+Every operation is integer arithmetic on traces:
+
+* product: f_(lam u mu) += B(lam, mu) f_lam g_mu, where
+  B = z_(lam u mu) / (z_lam z_mu) is a product of binomial coefficients;
+* psi_k = p_k o (.): f_(k lam) = k^l(lam) f_lam(L^k) (``adams``);
+* d/dp_k: f'_mu = f_(mu u (k)) / k, an index shift, with k moved into D;
+* plethysm: f o g = sum_lam (f_lam / z_lam) prod_i psi_(lam_i)(g) is
+  accumulated with the integer weights N!/z_lam and divided by N! once.
+  Integer-valued class functions are closed under plethysm, so the
+  quotient is exact and a remainder raises ``ArithmeticError``;
+* Alt, Schur coefficients, inner products and ranks are integer dot
+  products over the traces of one degree, divided once.
+
+Polynomial products run on Kronecker-packed ints: a polynomial whose
+coefficients are at most B in absolute value is stored as its value at
+L = 2^w with w = bitlength(B) + 1, and is unpacked in balanced digits.
+Each operation takes B from a proven bound on its own output and
+unpacks through a guard that refuses a width below that bound.  Between
+operations the traces are kept unpacked, so no width is carried from
+one operation to the next.
+
+``MotiveClass`` stays the public coefficient type: ``coefficient()``,
+``items()``, ``degree_terms()``, ``to_schur()`` and ``to_json()``
+convert, and the constructor takes MotiveClass, int or Fraction
+coefficients.  Degree bookkeeping is strict: all binary operations
+require both operands to carry the same truncation degree, and
+``p_derivative`` returns a series with the correspondingly lower
+truncation.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cache
 
@@ -23,10 +53,13 @@ from .combinatorics import (
     Partition,
     character,
     class_sign,
+    divisors,
     partitions_of,
     z_of,
 )
 from .motive import MotiveClass, UnsupportedCuspOperation
+
+_z = cache(z_of)
 
 
 def _coerce_coeff(c) -> MotiveClass:
@@ -37,66 +70,294 @@ def _coerce_coeff(c) -> MotiveClass:
     raise TypeError(f"cannot use {type(c).__name__} as a series coefficient")
 
 
-class SymSeries:
-    """Symmetric function truncated above ``max_degree``, power-sum basis."""
+# -- integer polynomials in L and their packing ----------------------------
 
-    __slots__ = ("max_degree", "_terms")
+
+def _trim(coeffs: list[int]) -> tuple[int, ...]:
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _lincomb(pairs) -> tuple[int, ...]:
+    """sum w * poly over (int w, poly) pairs."""
+    acc: list[int] = []
+    for w, poly in pairs:
+        if len(acc) < len(poly):
+            acc.extend([0] * (len(poly) - len(acc)))
+        for j, c in enumerate(poly):
+            acc[j] += w * c
+    return _trim(acc)
+
+
+def _l1(poly) -> int:
+    return sum(map(abs, poly))
+
+
+def _width(bound: int) -> int:
+    """Bits per power of L for balanced digits of absolute value at most bound."""
+    return bound.bit_length() + 1
+
+
+def _pack(poly, width: int, stride: int = 1) -> int:
+    """poly(L^stride) at L = 2^width."""
+    shift, x = width * stride, 0
+    for c in reversed(poly):
+        x = (x << shift) + c
+    return x
+
+
+def _unpack(x: int, width: int, bound: int) -> tuple[int, ...]:
+    """The polynomial packed in x, given a proven bound on its coefficients.
+
+    Balanced digits of ``width`` bits recover every coefficient of
+    absolute value below 2^(width - 1), and only those, so a width too
+    narrow for the bound is refused rather than read.
+    """
+    if bound >> (width - 1):
+        raise ArithmeticError(f"packing width {width} is too narrow for coefficient bound {bound}")
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    out = []
+    while x:
+        d = ((x + half) & mask) - half
+        out.append(d)
+        x = (x - d) >> width
+    return tuple(out)
+
+
+@cache
+def _union(lam: Partition, mu: Partition) -> tuple[Partition, int]:
+    """lam u mu and B = z_(lam u mu) / (z_lam z_mu)."""
+    nu = Partition(sorted(lam + mu, reverse=True))
+    return nu, _z(nu) // (_z(lam) * _z(mu))
+
+
+def _packed_product(a: dict, b: dict, n: int) -> dict:
+    """Packed traces of a product: out[lam u mu] += B(lam, mu) a[lam] b[mu], sizes <= n."""
+    by_size: dict[int, list] = {}
+    for mu, y in b.items():
+        by_size.setdefault(sum(mu), []).append((mu, y))
+    groups = sorted(by_size.items())
+    out: dict = {}
+    for lam, x in a.items():
+        room = n - sum(lam)
+        for size, group in groups:
+            if size > room:
+                break
+            for mu, y in group:
+                nu, w = _union(lam, mu)
+                out[nu] = out.get(nu, 0) + w * x * y
+    return out
+
+
+def _trace_product(a: dict, b: dict, n: int) -> dict:
+    """Unpacked traces of the product of two channels.
+
+    The weights B(lam, mu) over the splittings of nu sum to 2^l(nu), so
+    every coefficient is at most 2^n max|a|_1 max|b|_inf.
+    """
+    bound = (1 << n) * max(map(_l1, a.values())) * max(max(map(abs, p)) for p in b.values())
+    w = _width(bound)
+    packed = _packed_product(
+        {lam: _pack(p, w) for lam, p in a.items()}, {mu: _pack(p, w) for mu, p in b.items()}, n
+    )
+    return {nu: _unpack(x, w, bound) for nu, x in packed.items()}
+
+
+def _plethysm_bound(outer: dict, inner: dict, inner_den: int, lmax: int, n: int) -> int:
+    """Bound on the accumulated plethysm numerators of :meth:`SymSeries.plethysm`.
+
+    In the power-sum basis the L1 norm of the coefficients, graded by
+    degree, is submultiplicative and psi_k only moves it to degree k
+    times as high.  So with s_d the norm of the degree-d part of g and
+    G(x) = sum_m max_(d | m) s_d x^m, the degree-m part of
+    prod_i psi_(lam_i)(g) has norm at most [x^m] G^l(lam), and a trace is
+    at most z_nu <= m! times its coefficient's norm.
+    """
+    s = [Fraction(0)] * (n + 1)
+    for mu, p in inner.items():
+        s[sum(mu)] += Fraction(_l1(p), _z(mu))
+    hat = [0] + [max(math.ceil(s[d]) for d in divisors(m)) for m in range(1, n + 1)]
+    fact = math.factorial(n)
+    weight = [0] * (lmax + 1)
+    for channel in outer.values():
+        for lam, p in channel.items():
+            weight[len(lam)] += fact // _z(lam) * _l1(p) * inner_den ** (lmax - len(lam))
+    total, power = [0] * (n + 1), [1] + [0] * n
+    for a in weight:
+        for m in range(n + 1):
+            total[m] += a * power[m]
+        power = [sum(power[i] * hat[m - i] for i in range(m)) for m in range(n + 1)]
+    return max(math.factorial(m) * t for m, t in enumerate(total))
+
+
+def _divide_exact(poly, d: int) -> tuple[int, ...]:
+    out = []
+    for c in poly:
+        q, r = divmod(c, d)
+        if r:
+            raise ArithmeticError("plethysm numerator is not divisible by N!")
+        out.append(q)
+    return tuple(out)
+
+
+def _add_traces(into: dict, traces: dict, scale: int = 1) -> None:
+    """into[lam] += scale * traces[lam], channel by channel."""
+    for k, channel in traces.items():
+        target = into.setdefault(k, {})
+        for lam, p in channel.items():
+            prev = target.get(lam)
+            target[lam] = _lincomb([(scale, p)] if prev is None else [(1, prev), (scale, p)])
+
+
+def _motive(channels: dict, den: int) -> MotiveClass:
+    """The class with channel polynomials ``channels`` over the denominator den."""
+    tate, cusp = {}, {}
+    for k, p in channels.items():
+        for j, c in enumerate(p):
+            if c:
+                if k:
+                    cusp[(k, j)] = Fraction(c, den)
+                else:
+                    tate[j] = Fraction(c, den)
+    return MotiveClass(tate=tate, cusp=cusp)
+
+
+def _fraction_text(c: int, d: int) -> str:
+    g = math.gcd(c, d)
+    return f"{c // g}/{d // g}"
+
+
+def _order(lam) -> tuple:
+    """Sort key: by size, then in the order of ``partitions_of``."""
+    return sum(lam), tuple(-part for part in lam)
+
+
+class SymSeries:
+    """Symmetric function truncated above ``max_degree``, stored by traces."""
+
+    __slots__ = ("max_degree", "_traces", "_den")
     _UNIT_KEY = ()
 
     def __init__(self, max_degree: int, terms=None):
-        if max_degree < 0:
-            raise ValueError("max_degree must be nonnegative")
-        clean: dict[Partition, MotiveClass] = {}
+        fractions: dict[int, dict[Partition, dict[int, Fraction]]] = {}
         for lam, c in (terms or {}).items():
             lam = Partition(lam)
             if lam.size > max_degree:
-                raise ValueError(
-                    f"term p_{tuple(lam)} exceeds truncation degree {max_degree}"
-                )
+                raise ValueError(f"term p_{tuple(lam)} exceeds truncation degree {max_degree}")
+            z = _z(lam)
             c = _coerce_coeff(c)
-            if not c.is_zero():
-                prev = clean.get(lam)
-                clean[lam] = c if prev is None else prev + c
+            for j, v in c.tate_items():
+                fractions.setdefault(0, {}).setdefault(lam, {})[j] = v * z
+            for (k, j), v in c.cusp_items():
+                fractions.setdefault(k, {}).setdefault(lam, {})[j] = v * z
+        den = math.lcm(
+            1,
+            *(v.denominator for ch in fractions.values() for p in ch.values() for v in p.values()),
+        )
+        traces = {
+            k: {
+                lam: _trim([int(p.get(j, 0) * den) for j in range(max(p) + 1)])
+                for lam, p in ch.items()
+            }
+            for k, ch in fractions.items()
+        }
+        self._setup(max_degree, traces, den)
+
+    def _setup(self, max_degree: int, traces: dict, den: int) -> None:
+        """Store traces in normal form: no zero trace, no empty channel, D coprime to them."""
+        if max_degree < 0:
+            raise ValueError("max_degree must be nonnegative")
+        clean = {}
+        for k, channel in traces.items():
+            channel = {lam: p for lam, p in channel.items() if p}
+            if channel:
+                clean[k] = channel
+        if den != 1:
+            g = math.gcd(den, *(c for ch in clean.values() for p in ch.values() for c in p))
+            if g != 1:
+                clean = {
+                    k: {lam: tuple(c // g for c in p) for lam, p in ch.items()}
+                    for k, ch in clean.items()
+                }
+                den //= g
         object.__setattr__(self, "max_degree", max_degree)
-        object.__setattr__(self, "_terms", {l: c for l, c in clean.items() if not c.is_zero()})
+        object.__setattr__(self, "_traces", clean)
+        object.__setattr__(self, "_den", den)
+
+    @classmethod
+    def _make(cls, max_degree: int, traces: dict, den: int = 1) -> "SymSeries":
+        out = object.__new__(cls)
+        out._setup(max_degree, traces, den)
+        return out
+
+    @classmethod
+    def from_traces(cls, max_degree: int, traces: dict) -> "SymSeries":
+        """Series with Tate traces f_lam (integer polynomials in L, constant
+        term first), that is with coefficients f_lam / z_lam."""
+        for lam in traces:
+            if sum(lam) > max_degree:
+                raise ValueError(f"term p_{tuple(lam)} exceeds truncation degree {max_degree}")
+        trimmed = {
+            Partition(lam): p if not p or p[-1] else _trim(list(p)) for lam, p in traces.items()
+        }
+        return cls._make(max_degree, {0: trimmed})
 
     def __setattr__(self, name, value):
         raise AttributeError("SymSeries is immutable")
 
     # -- inspection ---------------------------------------------------
 
+    def _keys(self) -> list[Partition]:
+        keys = set()
+        for channel in self._traces.values():
+            keys.update(channel)
+        return sorted(keys, key=_order)
+
     def coefficient(self, lam) -> MotiveClass:
-        return self._terms.get(Partition(lam), MotiveClass.zero())
+        lam = Partition(lam)
+        channels = {k: ch[lam] for k, ch in self._traces.items() if lam in ch}
+        return _motive(channels, _z(lam) * self._den)
 
     def items(self):
-        return tuple(self._terms.items())
+        return tuple((lam, self.coefficient(lam)) for lam in self._keys())
 
     def degree_terms(self, n: int) -> dict[Partition, MotiveClass]:
-        return {lam: c for lam, c in self._terms.items() if lam.size == n}
+        return {lam: self.coefficient(lam) for lam in self._keys() if sum(lam) == n}
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._traces
 
     def is_tate_only(self) -> bool:
-        return all(c.is_tate_only() for c in self._terms.values())
+        return all(k == 0 for k in self._traces)
 
     def constant_term(self) -> MotiveClass:
         return self.coefficient(())
 
     # -- degree management ---------------------------------------------
 
+    def _restricted(self, keep, max_degree: int | None = None) -> "SymSeries":
+        traces = {
+            k: {lam: p for lam, p in ch.items() if keep(sum(lam))} for k, ch in self._traces.items()
+        }
+        if max_degree is None:
+            max_degree = self.max_degree
+        return SymSeries._make(max_degree, traces, self._den)
+
     def truncate(self, new_max: int) -> "SymSeries":
         if new_max > self.max_degree:
             raise ValueError("cannot truncate upwards; use zero_extended")
-        return SymSeries(
-            new_max, {l: c for l, c in self._terms.items() if l.size <= new_max}
-        )
+        return self._restricted(lambda size: size <= new_max, new_max)
 
     def zero_extended(self, new_max: int) -> "SymSeries":
         """Reinterpret at a higher truncation, treating missing degrees as 0."""
         if new_max < self.max_degree:
             raise ValueError("use truncate to lower the degree")
-        return SymSeries(new_max, dict(self._terms))
+        return SymSeries._make(new_max, self._traces, self._den)
+
+    def homogeneous(self, n: int) -> "SymSeries":
+        """The degree-n part, at the same truncation."""
+        return self._restricted(lambda size: size == n)
 
     def _require_same_degree(self, other: "SymSeries"):
         if self.max_degree != other.max_degree:
@@ -110,14 +371,14 @@ class SymSeries:
         if not isinstance(other, SymSeries):
             return NotImplemented
         self._require_same_degree(other)
-        terms = dict(self._terms)
-        for lam, c in other._terms.items():
-            prev = terms.get(lam)
-            terms[lam] = c if prev is None else prev + c
-        return SymSeries(self.max_degree, terms)
+        den = math.lcm(self._den, other._den)
+        traces: dict = {}
+        _add_traces(traces, self._traces, den // self._den)
+        _add_traces(traces, other._traces, den // other._den)
+        return SymSeries._make(self.max_degree, traces, den)
 
     def __neg__(self):
-        return SymSeries(self.max_degree, {l: -c for l, c in self._terms.items()})
+        return self.scaled(-1)
 
     def __sub__(self, other):
         if not isinstance(other, SymSeries):
@@ -126,7 +387,16 @@ class SymSeries:
 
     def scaled(self, c) -> "SymSeries":
         """Each coefficient times c, an int, Fraction or MotiveClass."""
-        return SymSeries(self.max_degree, {l: v * c for l, v in self._terms.items()})
+        if isinstance(c, MotiveClass):
+            return self * SymSeries(self.max_degree, {(): c})
+        c = Fraction(c)
+        if not c:
+            return SymSeries(self.max_degree)
+        traces = {
+            k: {lam: tuple(c.numerator * x for x in p) for lam, p in ch.items()}
+            for k, ch in self._traces.items()
+        }
+        return SymSeries._make(self.max_degree, traces, self._den * c.denominator)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, MotiveClass)):
@@ -135,17 +405,17 @@ class SymSeries:
             return NotImplemented
         self._require_same_degree(other)
         n = self.max_degree
-        terms: dict[Partition, MotiveClass] = {}
-        for lam, a in self._terms.items():
-            la = lam.size
-            for mu, b in other._terms.items():
-                if la + mu.size > n:
+        traces: dict = {}
+        for ka, a in self._traces.items():
+            for kb, b in other._traces.items():
+                if ka and kb:
+                    if min(map(sum, a)) + min(map(sum, b)) <= n:
+                        raise UnsupportedCuspOperation(
+                            "product of two cusp symbols is outside the supported ring"
+                        )
                     continue
-                key = Partition(sorted(lam + mu, reverse=True))
-                c = a * b
-                prev = terms.get(key)
-                terms[key] = c if prev is None else prev + c
-        return SymSeries(n, terms)
+                _add_traces(traces, {ka or kb: _trace_product(a, b, n)})
+        return SymSeries._make(n, traces, self._den * other._den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, MotiveClass)):
@@ -155,114 +425,148 @@ class SymSeries:
     def __eq__(self, other):
         if not isinstance(other, SymSeries):
             return NotImplemented
-        return self.max_degree == other.max_degree and self._terms == other._terms
+        return (
+            self.max_degree == other.max_degree
+            and self._den == other._den
+            and self._traces == other._traces
+        )
 
     __hash__ = None
 
     def __repr__(self):
-        if not self._terms:
+        if not self._traces:
             return f"SymSeries(<= {self.max_degree}; 0)"
         bits = []
-        for lam in sorted(self._terms, key=lambda l: (l.size, l)):
-            bits.append(f"({self._terms[lam]!r})*p{tuple(lam)}")
+        for lam in sorted(self._keys(), key=lambda l: (l.size, l)):
+            bits.append(f"({self.coefficient(lam)!r})*p{tuple(lam)}")
         return f"SymSeries(<= {self.max_degree}; " + " + ".join(bits) + ")"
 
     # -- inner product, derivative, functionals -------------------------
 
     def inner(self, other: "SymSeries", n: int) -> MotiveClass:
-        """Hall inner product of the degree-n pieces; <p_lam, p_mu> = z delta."""
+        """Hall inner product of the degree-n pieces; <p_lam, p_mu> = z delta.
+
+        In traces it is sum_lam f_lam g_lam / z_lam: the weights n!/z_lam
+        are integers, and the sum is divided by n! once.
+        """
         self._require_same_degree(other)
-        total = MotiveClass.zero()
-        for lam, a in self.degree_terms(n).items():
-            b = other._terms.get(lam)
-            if b is not None:
-                total = total + a * b * z_of(lam)
-        return total
+        fact = math.factorial(n)
+        channels: dict = {}
+        for ka, a in self._traces.items():
+            for kb, b in other._traces.items():
+                common = [lam for lam in a if sum(lam) == n and lam in b]
+                if not common:
+                    continue
+                if ka and kb:
+                    raise UnsupportedCuspOperation(
+                        "product of two cusp symbols is outside the supported ring"
+                    )
+                weights = {lam: fact // _z(lam) for lam in common}
+                bound = sum(weights[lam] * _l1(a[lam]) * _l1(b[lam]) for lam in common)
+                w = _width(bound)
+                x = sum(weights[lam] * _pack(a[lam], w) * _pack(b[lam], w) for lam in common)
+                k = ka or kb
+                channels[k] = _lincomb([(1, channels.get(k, ())), (1, _unpack(x, w, bound))])
+        return _motive(channels, fact * self._den * other._den)
 
     def p_derivative(self, k: int) -> "SymSeries":
         """Formal partial derivative with respect to p_k.
 
-        The computations downstream use k = 1 and k = 2.  The result is
-        truncated at max_degree - k since higher terms are not determined.
+        In traces, f'_mu = f_(mu u (k)) / k: an index shift, with k moved
+        into the denominator.  The result is truncated at max_degree - k
+        since higher terms are not determined.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
         if self.max_degree < k:
             raise ValueError("truncation too small to differentiate")
-        terms: dict[Partition, MotiveClass] = {}
-        for lam, c in self._terms.items():
-            m = sum(1 for part in lam if part == k)
-            if not m:
-                continue
-            rest = list(lam)
-            rest.remove(k)
-            key = Partition(rest)
-            add = c * m
-            prev = terms.get(key)
-            terms[key] = add if prev is None else prev + add
-        return SymSeries(self.max_degree - k, terms)
+        traces = {}
+        for channel_key, channel in self._traces.items():
+            shifted = traces[channel_key] = {}
+            for lam, p in channel.items():
+                if k in lam:
+                    i = lam.index(k)
+                    shifted[Partition(lam[:i] + lam[i + 1:])] = p
+        return SymSeries._make(self.max_degree - k, traces, self._den * k)
 
     def alt(self) -> "AltSeries":
         """Alternating functional: sum_n <s_(1^n), f_n> t^n.
 
         In the power-sum basis <s_(1^n), p_lam> is the sign of the class
-        lam, so this is a signed sum of coefficients.
+        lam, so [t^n] is sum_(lam |- n) sign(lam) (n!/z_lam) f_lam over n! D.
         """
-        coeffs: dict[int, MotiveClass] = {}
-        for lam, c in self._terms.items():
-            n = lam.size
-            signed = c if class_sign(lam) > 0 else -c
-            prev = coeffs.get(n)
-            coeffs[n] = signed if prev is None else prev + signed
+        pairs: dict[int, dict[int, list]] = {}
+        for k, channel in self._traces.items():
+            for lam, p in channel.items():
+                n = sum(lam)
+                w = class_sign(lam) * (math.factorial(n) // _z(lam))
+                pairs.setdefault(n, {}).setdefault(k, []).append((w, p))
+        coeffs = {
+            n: _motive({k: _lincomb(ps) for k, ps in chans.items()}, math.factorial(n) * self._den)
+            for n, chans in pairs.items()
+        }
         return AltSeries(self.max_degree, coeffs)
 
     def sign_twist(self) -> "SymSeries":
         """Degreewise tensor with the sign character: p_lam picks up
         (-1)^(|lam| - #parts)."""
-        return SymSeries(
-            self.max_degree,
-            {lam: c * class_sign(lam) for lam, c in self._terms.items()},
-        )
+        traces = {
+            k: {lam: p if class_sign(lam) > 0 else tuple(-c for c in p) for lam, p in ch.items()}
+            for k, ch in self._traces.items()
+        }
+        return SymSeries._make(self.max_degree, traces, self._den)
 
     def dimension(self, n: int) -> MotiveClass:
-        """Rank functional on the degree-n piece: n! * coefficient of p_(1^n)."""
-        import math
-
-        return self.coefficient((1,) * n) * math.factorial(n)
+        """Rank functional on the degree-n piece: n! * coefficient of p_(1^n),
+        which is the trace at the identity."""
+        ones = Partition((1,) * n)
+        return _motive({k: ch[ones] for k, ch in self._traces.items() if ones in ch}, self._den)
 
     def tate_layer(self, j: int) -> "SymSeries":
         """Rational-coefficient sub-series picking the L^j part of each term."""
-        terms = {}
-        for lam, c in self._terms.items():
-            t = c.tate_coefficient(j)
-            if t:
-                terms[lam] = MotiveClass(tate={0: t})
-        return SymSeries(self.max_degree, terms)
+        tate = self._traces.get(0, {})
+        return SymSeries._make(
+            self.max_degree,
+            {0: {lam: (p[j],) for lam, p in tate.items() if len(p) > j and p[j]}},
+            self._den,
+        )
 
     # -- plethysm -------------------------------------------------------
 
     def adams(self, m: int) -> "SymSeries":
         """p_m o f for a Tate-only f: p_lam -> p_(m*lam), each coefficient
-        by the m-th Adams operation, terms past the truncation dropped."""
+        by the m-th Adams operation, terms past the truncation dropped.
+
+        In traces, f_(m lam) = m^l(lam) f_lam(L^m).
+        """
         if m < 1:
             raise ValueError("m must be >= 1")
-        return SymSeries(
-            self.max_degree,
-            {
-                Partition(tuple(part * m for part in lam)): c.adams(m)
-                for lam, c in self._terms.items()
-                if lam.size * m <= self.max_degree
-            },
-        )
+        n = self.max_degree
+        for k, channel in self._traces.items():
+            if k and any(sum(lam) * m <= n for lam in channel):
+                raise UnsupportedCuspOperation(
+                    "Adams operations are only defined on Tate-only classes"
+                )
+        traces = {}
+        for lam, p in self._traces.get(0, {}).items():
+            if sum(lam) * m <= n:
+                scale = m ** len(lam)
+                stretched = [0] * (m * (len(p) - 1) + 1)
+                stretched[::m] = [scale * c for c in p]
+                traces[Partition(tuple(part * m for part in lam))] = tuple(stretched)
+        return SymSeries._make(n, {0: traces}, self._den)
 
     def plethysm(self, g: "SymSeries") -> "SymSeries":
         """Plethystic composition f[g].
 
-        p_lam o g is the product of ``g.adams(k)`` over the parts k of
-        lam, shared by every lam with the same tail; the outer
-        coefficients of f pass through unchanged.  Requires g to have zero
-        constant term (else the result is not a finite computation) and
-        Tate-only coefficients (Adams operations do not act on cusp symbols).
+        p_lam o g is the product of psi_k(g) over the parts k of lam,
+        shared by every lam with the same tail; the outer coefficients of
+        f pass through unchanged.  The packed numerators
+        sum_lam (N!/z_lam) D_g^(l_max - l(lam)) f_lam (p_lam o g)
+        are unpacked at a width from :func:`_plethysm_bound` and divided
+        by N! exactly.  Requires g to have zero constant term (else the
+        result is not a finite computation) and Tate-only coefficients
+        (Adams operations do not act on cusp symbols).
         """
         self._require_same_degree(g)
         if not g.constant_term().is_zero():
@@ -272,41 +576,68 @@ class SymSeries:
                 "plethysm requires Tate-only coefficients in the inner series"
             )
         n = self.max_degree
-        psi: dict[int, SymSeries] = {}
-        partial: dict[Partition, SymSeries] = {Partition(()): one(n)}
+        inner = g._traces.get(0, {})
+        lmax = max((len(lam) for ch in self._traces.values() for lam in ch), default=0)
+        bound = _plethysm_bound(self._traces, inner, g._den, lmax, n)
+        w = _width(bound)
+        psi: dict[int, dict] = {}
+        partial: dict[tuple, dict] = {(): {Partition(()): 1}}
 
-        def partial_product(lam: Partition) -> SymSeries:
+        def partial_product(lam: tuple) -> dict:
             got = partial.get(lam)
             if got is None:
                 k = lam[0]
                 if k not in psi:
-                    psi[k] = g.adams(k)
-                got = partial[lam] = partial_product(Partition(lam[1:])) * psi[k]
+                    psi[k] = {
+                        Partition(tuple(k * part for part in mu)): k ** len(mu) * _pack(p, w, k)
+                        for mu, p in inner.items()
+                        if k * sum(mu) <= n
+                    }
+                got = partial[lam] = _packed_product(partial_product(lam[1:]), psi[k], n)
             return got
 
-        terms: dict[Partition, MotiveClass] = {}
-        for lam, c in self._terms.items():
-            for mu, inner_c in partial_product(lam)._terms.items():
-                add = c * inner_c
-                prev = terms.get(mu)
-                terms[mu] = add if prev is None else prev + add
-        return SymSeries(n, terms)
+        fact = math.factorial(n)
+        traces = {}
+        for k, channel in self._traces.items():
+            acc: dict = {}
+            for lam, p in channel.items():
+                product = partial_product(tuple(lam))
+                if product:
+                    x = fact // _z(lam) * g._den ** (lmax - len(lam)) * _pack(p, w)
+                    for nu, y in product.items():
+                        acc[nu] = acc.get(nu, 0) + x * y
+            traces[k] = {nu: _divide_exact(_unpack(x, w, bound), fact) for nu, x in acc.items()}
+        return SymSeries._make(n, traces, self._den * g._den**lmax)
 
     # -- Schur views ------------------------------------------------------
 
     def to_schur(self, n: int) -> dict[Partition, MotiveClass]:
-        """Schur expansion of the degree-n piece: <f, s_lam> per lam."""
-        piece = self.degree_terms(n)
-        out: dict[Partition, MotiveClass] = {}
-        for lam in partitions_of(n):
-            total = MotiveClass.zero()
-            for mu, c in piece.items():
-                chi = character(lam, mu)
-                if chi:
-                    total = total + c * chi
-            if not total.is_zero():
-                out[lam] = total
-        return out
+        """Schur expansion of the degree-n piece: <f, s_lam> per lam.
+
+        <f, s_lam> = sum_mu chi^lam(mu) f_mu / z_mu.  By the orthonormality
+        of chi^lam, sum_mu (n!/z_mu) |chi^lam(mu)| <= n!, which bounds each
+        packed dot product by n! times the largest trace coefficient.
+        """
+        fact = math.factorial(n)
+        rows: dict[Partition, dict] = {}
+        for k, channel in self._traces.items():
+            piece = {mu: p for mu, p in channel.items() if sum(mu) == n}
+            if not piece:
+                continue
+            bound = fact * max(max(map(abs, p)) for p in piece.values())
+            w = _width(bound)
+            packed = [(mu, fact // _z(mu), _pack(p, w)) for mu, p in piece.items()]
+            for lam in partitions_of(n):
+                x = 0
+                for mu, weight, y in packed:
+                    chi = character(lam, mu)
+                    if chi:
+                        x += weight * chi * y
+                if x:
+                    rows.setdefault(lam, {})[k] = _unpack(x, w, bound)
+        return {
+            lam: _motive(rows[lam], fact * self._den) for lam in partitions_of(n) if lam in rows
+        }
 
     # -- serialization ----------------------------------------------------
 
@@ -315,19 +646,26 @@ class SymSeries:
             raise ValueError(f"unknown basis {basis!r}")
         entries = []
         if basis == "power":
-            source = self._terms
-        else:
-            source = {}
-            for n in sorted({lam.size for lam in self._terms}):
-                source.update(self.to_schur(n))
-        for lam in sorted(source, key=lambda l: (l.size, partitions_of(l.size).index(l))):
-            entries.append(
-                {
-                    "degree": lam.size,
-                    "partition": list(lam),
-                    "coeff": source[lam].to_json(),
+            for lam in self._keys():
+                zd = _z(lam) * self._den
+                channels = {k: ch[lam] for k, ch in self._traces.items() if lam in ch}
+                coeff = {
+                    "tate": [
+                        [j, _fraction_text(c, zd)] for j, c in enumerate(channels.get(0, ())) if c
+                    ],
+                    "cusp": [
+                        [k, j, _fraction_text(c, zd)]
+                        for k in sorted(channels)
+                        if k
+                        for j, c in enumerate(channels[k])
+                        if c
+                    ],
                 }
-            )
+                entries.append({"degree": lam.size, "partition": list(lam), "coeff": coeff})
+        else:
+            for n in sorted({sum(lam) for lam in self._keys()}):
+                for lam, c in self.to_schur(n).items():
+                    entries.append({"degree": n, "partition": list(lam), "coeff": c.to_json()})
         return {"max_degree": self.max_degree, "basis": basis, "terms": entries}
 
     @classmethod
@@ -384,6 +722,10 @@ class AltSeries:
 
     def constant_term(self) -> MotiveClass:
         return self.coefficient(0)
+
+    def homogeneous(self, n: int) -> "AltSeries":
+        """The degree-n part, at the same truncation."""
+        return AltSeries(self.max_degree, self.degree_terms(n))
 
     def scaled(self, c) -> "AltSeries":
         """Each coefficient times c, an int, Fraction or MotiveClass."""
@@ -480,17 +822,11 @@ def power_sum(k: int, max_degree: int) -> SymSeries:
     return SymSeries(max_degree, {(k,): 1})
 
 
-@cache
-def _complete_expansion(k: int) -> tuple[tuple[Partition, Fraction], ...]:
-    # h_k = sum over partitions of k of p_lam / z_lam
-    return tuple((lam, Fraction(1, z_of(lam))) for lam in partitions_of(k))
-
-
 def complete(k: int, max_degree: int) -> SymSeries:
-    """The complete homogeneous symmetric function h_k."""
+    """The complete homogeneous symmetric function h_k: trace 1 on every class."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return SymSeries(max_degree, dict(_complete_expansion(k)))
+    return SymSeries.from_traces(max_degree, {lam: (1,) for lam in partitions_of(k)})
 
 
 def elementary(k: int, max_degree: int) -> SymSeries:
@@ -499,20 +835,17 @@ def elementary(k: int, max_degree: int) -> SymSeries:
 
 
 def schur(lam, max_degree: int) -> SymSeries:
-    """The Schur function s_lam = sum_mu chi^lam(mu) p_mu / z_mu."""
+    """The Schur function s_lam, whose trace on the class mu is chi^lam(mu)."""
     lam = Partition(lam)
-    terms = {}
-    for mu in partitions_of(lam.size):
-        chi = character(lam, mu)
-        if chi:
-            terms[mu] = Fraction(chi, z_of(mu))
-    return SymSeries(max_degree, terms)
+    return SymSeries.from_traces(
+        max_degree, {mu: (character(lam, mu),) for mu in partitions_of(lam.size)}
+    )
 
 
 # -- series functions ------------------------------------------------------
 
 
-def _degree_recurrence(g: SymSeries | AltSeries, x0: dict, lead: int) -> list:
+def _degree_recurrence(g: SymSeries | AltSeries, x0, lead: int) -> list:
     """[x_0, ..., x_N] with x_n = lead * n * g_n + sum_{k=1..n} g_k x_(n-k).
 
     g must have zero constant term.  Its homogeneous parts g_n are split
@@ -520,8 +853,8 @@ def _degree_recurrence(g: SymSeries | AltSeries, x0: dict, lead: int) -> list:
     """
     if not g.constant_term().is_zero():
         raise ValueError("series function requires zero constant term")
-    parts = [type(g)(g.max_degree, g.degree_terms(n)) for n in range(g.max_degree + 1)]
-    x = [type(g)(g.max_degree, x0)]
+    parts = [g.homogeneous(n) for n in range(g.max_degree + 1)]
+    x = [x0]
     for n in range(1, len(parts)):
         x_n = parts[n].scaled(lead * n) if lead else parts[0]
         for k in range(1, n + 1):
@@ -539,13 +872,18 @@ def log_one_minus(g: SymSeries | AltSeries) -> SymSeries | AltSeries:
     e_n = -n g_n + sum_{k=1..n-1} e_k g_(n-k).  The result has the type
     of ``g``, as has :func:`geometric`.
     """
-    e = _degree_recurrence(g, {}, -1)
-    terms = {key: c * Fraction(1, n) for n, e_n in enumerate(e) for key, c in e_n.items()}
-    return type(g)(g.max_degree, terms)
+    e = _degree_recurrence(g, type(g)(g.max_degree), -1)
+    total = e[0]
+    for n in range(1, len(e)):
+        total = total + e[n].scaled(Fraction(1, n))
+    return total
 
 
 def geometric(g: SymSeries | AltSeries) -> SymSeries | AltSeries:
     """1/(1 - g) for g with zero constant term: G_0 = 1 and
     G_n = sum_{k=1..n} g_k G_(n-k), one degree at a time."""
-    geo = _degree_recurrence(g, {g._UNIT_KEY: 1}, 0)
-    return type(g)(g.max_degree, {key: c for G_n in geo for key, c in G_n.items()})
+    geo = _degree_recurrence(g, type(g)(g.max_degree, {g._UNIT_KEY: 1}), 0)
+    total = geo[0]
+    for G_n in geo[1:]:
+        total = total + G_n
+    return total

@@ -320,13 +320,23 @@ def _is_primitive(p: int, tail) -> bool:
     )
 
 
+def _has_root(p: int, tail) -> bool:
+    """Whether f = x^k + sum_i tail[i] x^i has a root in F_p."""
+    return any(_horner(tail + (1,), x) % p == 0 for x in range(p))
+
+
 @cache
 def _field_modulus(p: int, k: int) -> tuple[int, ...]:
-    """The low coefficients of the first primitive monic f of degree k over F_p."""
+    """The low coefficients of the first primitive monic f of degree k over F_p.
+
+    A candidate of degree k >= 2 with a root in F_p is reducible, so it is
+    skipped before the order certificate is run; the first primitive f
+    in the search order stays the same.
+    """
     from itertools import product as iproduct
 
     for tail in iproduct(range(p), repeat=k):
-        if tail[0] and _is_primitive(p, tail):
+        if tail[0] and not (k >= 2 and _has_root(p, tail)) and _is_primitive(p, tail):
             return tail
     raise RuntimeError(f"no generator found for GF({p}^{k})")
 

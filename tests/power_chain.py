@@ -4,8 +4,9 @@ The package computes ``symfunc.log_one_minus`` and ``symfunc.geometric``
 one degree at a time from the homogeneous parts of g.  This module is the
 independent reference the tests compare them against: it builds g, g^2,
 ... as full truncated products and sums -g^m/m or g^m, which costs N full
-products at truncation N.  It works on a ``SymSeries`` and an
-``AltSeries`` alike and returns the type of g.
+products at truncation N.  It works on a ``SymSeries``, an ``AltSeries``
+and the oracle ``fraction_series.FractionSeries`` alike and returns the
+type of g.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import fraction_counts as fc
+import fraction_series as fs
 import pytest
 
 from cuspmotive import genus0, pipeline, symfunc as sf
@@ -216,6 +217,20 @@ def test_b0_prime_ranks_match_keel_recursion():
         rank = b.dimension(n)
         assert [rank.tate_coefficient(j) for j in range(n - 1)] == h[n + 1], n
         assert all(j < n - 1 for j, _ in rank.tate_items()), n
+
+
+def test_a0_and_b0_prime_match_fraction_oracle():
+    """b0' by the integer kernel equals the Fraction plethysm route through degree 12,
+    whether solved to 12 or to 14; a0 equals its Fraction point counts over z."""
+    assert fs.FractionSeries.of(genus0.a0_series(13)) == fs.a0_series(13)
+    want = fs.b0_prime(12)
+    for n in (12, 14):
+        assert fs.FractionSeries.of(genus0.b0_prime(n).truncate(12)) == want, n
+
+
+def test_poincare_schur_matches_fraction_oracle():
+    for n in range(3, 11):
+        assert genus0.poincare_schur(n) == fs.poincare_schur(n), n
 
 
 def test_poincare_schur_small():

@@ -1,6 +1,7 @@
 import json
 import re
 
+import fraction_series as fs
 import pytest
 
 from cuspmotive import cli, genus0, genus1_boundary, pipeline, symfunc as sf
@@ -169,3 +170,31 @@ def test_theorem_path_builds_no_symseries_derivatives(monkeypatch):
     genus0._signed_count_sums.cache_clear()
     for n in range(1, 13):
         assert pipeline.main_theorem(n).total == pipeline.expected_total(n)
+
+
+def test_cli_json_bytes_match_fraction_oracle(tmp_path):
+    """The documents the series commands write at degree 10, rebuilt byte
+    for byte from the Fraction oracle route of ``tests/fraction_series.py``."""
+    n = 10
+    neck, corr = fs.necklace_series(n), fs.correction_series(n)
+    boundary = neck + corr
+    rows = [[[list(lam), rep[lam]] for lam in sorted(rep)] for rep in fs.poincare_schur(n)]
+    expected = {
+        ("a0", "--max-degree", "10"): (n, fs.a0_series(n).to_json()),
+        ("b0prime", "--max-degree", "10"): (n, fs.b0_prime(n).to_json()),
+        ("lie", "--max-degree", "10"): (n, {"signed": False, "series": fs.ch_lie(n).to_json()}),
+        ("necklace", "--max-degree", "10"): (
+            n,
+            {"necklace": neck.to_json(), "correction": corr.to_json()},
+        ),
+        ("boundary", "--max-degree", "10"): (
+            n,
+            {"series": boundary.to_json(), "alt": boundary.alt().to_json()},
+        ),
+        ("rows-check", "-n", "10"): (None, {"points": n, "cohomology": rows}),
+    }
+    for argv, (max_degree, result) in expected.items():
+        out = tmp_path / f"{argv[0]}.json"
+        assert cli.main([*argv, "--json", "--out", str(out)]) == 0
+        doc = {"schema_version": 1, "command": argv[0], "max_degree": max_degree, "result": result}
+        assert out.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode(), argv

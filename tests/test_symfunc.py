@@ -1,12 +1,14 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+import fraction_series as fs
 import power_chain
 import pytest
 
-from cuspmotive import symfunc as sf
-from cuspmotive.combinatorics import Partition, partitions_of
+from cuspmotive import genus0, symfunc as sf
+from cuspmotive.combinatorics import Partition, partitions_of, z_of
 from cuspmotive.motive import L, ONE, MotiveClass, UnsupportedCuspOperation
 from cuspmotive.verification import _random_series
 
@@ -307,3 +309,93 @@ def test_series_functions_match_power_chain_on_cusp_coefficients():
     # both kinds of cusp input occurred: a product of two cusp symbols inside
     # the truncation, and cusp terms too far apart to meet
     assert raised and kept_cusp
+
+
+# -- the integer trace kernel against the Fraction oracle --------------------
+
+
+def _run(thunk):
+    try:
+        return thunk()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc)
+
+
+def _agree(kernel, oracle):
+    """Both routes raise the same error or give the same value."""
+    got, want = _run(kernel), _run(oracle)
+    if isinstance(got, sf.SymSeries):
+        got = fs.FractionSeries.of(got)
+    assert got == want
+    return got
+
+
+def test_kernel_matches_fraction_oracle_on_random_series():
+    rng = random.Random(20261018)
+    raised = set()
+    for case in range(80):
+        n = rng.randint(1, 7)
+        f = _random_series(rng, n, allow_cusp=True)
+        g = _random_series(rng, n, allow_cusp=True, min_degree=rng.randint(0, 1))
+        h = _random_series(rng, n, min_degree=1)
+        F, G, H = (fs.FractionSeries.of(s) for s in (f, g, h))
+        assert F.to_series() == f
+        outcomes = [
+            _agree(lambda: f * g, lambda: F * G),
+            _agree(lambda: f + g, lambda: F + G),
+            _agree(lambda: f.scaled(Fraction(-3, 7)), lambda: F.scaled(Fraction(-3, 7))),
+            _agree(lambda: f.plethysm(h), lambda: F.plethysm(H)),
+            _agree(lambda: f.plethysm(g), lambda: F.plethysm(G)),
+            _agree(lambda: h.plethysm(h), lambda: H.plethysm(H)),
+            _agree(
+                lambda: f.scaled(Fraction(5, 6)).plethysm(h.scaled(Fraction(2, 9))),
+                lambda: F.scaled(Fraction(5, 6)).plethysm(H.scaled(Fraction(2, 9))),
+            ),
+            _agree(lambda: sf.log_one_minus(g), lambda: fs.log_one_minus(G)),
+            _agree(lambda: sf.geometric(g), lambda: fs.geometric(G)),
+            _agree(lambda: sf.log_one_minus(h), lambda: fs.log_one_minus(H)),
+            _agree(lambda: sf.geometric(h), lambda: fs.geometric(H)),
+            _agree(f.alt, F.alt),
+            _agree(lambda: h.adams(2), lambda: H.adams(2)),
+        ]
+        for k in (1, 2):
+            outcomes.append(_agree(lambda: f.p_derivative(k), lambda: F.p_derivative(k)))
+        for m in range(n + 1):
+            assert f.to_schur(m) == F.to_schur(m)
+            _agree(
+                lambda: f.inner(g, m),
+                lambda: sum(
+                    (
+                        F.coefficient(lam) * G.coefficient(lam) * z_of(lam)
+                        for lam in partitions_of(m)
+                    ),
+                    MotiveClass.zero(),
+                ),
+            )
+            assert f.dimension(m) == F.coefficient((1,) * m) * math.factorial(m)
+        assert fs.FractionSeries.of(f.tate_layer(1)) == F.tate_layer(1)
+        raised.update(o for o in outcomes if isinstance(o, type))
+    # both guards fired on both routes: two cusp symbols meeting, and a constant term
+    assert raised == {UnsupportedCuspOperation, ValueError}
+
+
+def test_too_narrow_packing_width_is_refused(monkeypatch):
+    # read at 8 bits, a coefficient of 1000 comes back as a different polynomial
+    packed = sf._pack((1000, -3), 8)
+    assert sf._unpack(packed, 8, 127) != (1000, -3)
+    with pytest.raises(ArithmeticError):
+        sf._unpack(packed, 8, 1000)
+    w = sf._width(1000)
+    assert sf._unpack(sf._pack((1000, -3), w), w, 1000) == (1000, -3)
+    a0 = genus0.a0_series(8)
+    a0p = genus0.a0_first_derivative(8)
+    g = sf.complete(1, 8) + genus0.b0_prime(8)
+    monkeypatch.setattr(sf, "_width", lambda bound: 8)
+    for thunk in (
+        lambda: a0 * a0,
+        lambda: a0p.plethysm(g),
+        lambda: a0.to_schur(8),
+        lambda: a0.inner(a0, 8),
+    ):
+        with pytest.raises(ArithmeticError, match="too narrow"):
+            thunk()

@@ -30,9 +30,11 @@ p-derivatives are index shifts of the same traces; a0' has trace
 ``twisted_count_poly(mu + (1,))`` on mu.
 
 The boundary needs only the alternating images of the derivatives a0',
-a0'' (both in p_1) and a0dot (in p_2).  :func:`a0_alt_derivatives` sums
-them degree by degree straight from the trace polynomials, each degree
-cached once for every truncation.  :func:`b0_prime` is solved one cached
+a0'' (both in p_1) and a0dot (in p_2).  Over every cycle type at once the
+twisted counts form Getzler's cycle-index product prod_d (1 + p_d)^(m_d),
+whose Alt is (1 + t)(1 + qt); :func:`a0_alt_derivatives` reads the three
+images off it in Z[q][[t]], each degree cached once for every truncation
+and no partition walked.  :func:`b0_prime` is solved one cached
 degree at a time, each degree one integer plethysm a0' o (h_1 + b).  The
 ``SymSeries`` derivatives :func:`a0_first_derivative`,
 :func:`a0_second_derivative` and :func:`a0_p2_derivative` serve b0', the
@@ -41,19 +43,11 @@ boundary series and the reference route of the battery.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import cache
 
 from . import symfunc as sf
-from .combinatorics import (
-    Partition,
-    class_sign,
-    divisors,
-    moebius,
-    partitions_of,
-    z_of,
-)
+from .combinatorics import Partition, divisors, moebius, partitions_of
 from .motive import MotiveClass
 
 # Polynomials in q are tuples of integer coefficients, constant term first.
@@ -78,6 +72,16 @@ def closed_point_count(d: int) -> MotiveClass:
     return MotiveClass(tate={j: Fraction(c, d) for j, c in enumerate(_closed_point_poly(d))})
 
 
+def _poly_mul(a, b) -> tuple[int, ...]:
+    """Product in Z[q], skipping the zero coefficients of a."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
 @cache
 def _count_numerator(parts: tuple[int, ...]) -> tuple[int, ...]:
     """Numerator of :func:`twisted_count_poly`, one factor d m_d(q) - d t per part.
@@ -91,13 +95,7 @@ def _count_numerator(parts: tuple[int, ...]) -> tuple[int, ...]:
     rest, d = parts[:-1], parts[-1]
     factor = list(_closed_point_poly(d))
     factor[0] -= d * rest.count(d)
-    nonzero = [(j, c) for j, c in enumerate(factor) if c]
-    prefix = _count_numerator(rest)
-    out = [0] * (len(prefix) + d)
-    for i, x in enumerate(prefix):
-        for j, c in nonzero:
-            out[i + j] += x * c
-    return tuple(out)
+    return _poly_mul(factor, _count_numerator(rest))
 
 
 def _divide_by_q3_minus_q(num) -> tuple[int, ...]:
@@ -162,40 +160,54 @@ def a0_p2_derivative(max_degree: int) -> sf.SymSeries:
     return a0_series(max_degree + 2).p_derivative(2)
 
 
-@cache
-def _signed_count_sums(size: int) -> tuple[MotiveClass, MotiveClass, MotiveClass]:
-    """sum_{lam |- size} w(lam) eps(lam) c_lam for w = m_1, m_1 (m_1 - 1) and -m_2.
+# ---------------------------------------------------------------------------
+# Alt of a0 and its derivatives from the cycle-index product formula.
 
-    c_lam is the coefficient of p_lam in a0, eps(lam) the sign of the class
-    lam and m_d the number of parts d.  Every z_lam divides size!, so each
-    sum is kept in integers over that one denominator.
+
+@cache
+def _alt_product_layer(n: int) -> tuple[tuple[int, ...], ...]:
+    """[t^n] of Alt(F), Alt(F)/(1 + t), Alt(F)/(1 + t)^2 and Alt(F)/(1 - t^2) in Z[q].
+
+    F = prod_d (1 + p_d)^(m_d) sums the twisted counts of distinct points
+    on P^1 over every cycle type (Getzler 1995).  Alt sends p_d to
+    (-1)^(d-1) t^d, so log Alt(F) = sum_n (-1)^(n-1) s_n t^n / n with
+    s_n = sum_{d | n} d m_d(q), and n [t^n] Alt(F) is
+    sum_{k=1..n} (-1)^(k-1) s_k [t^(n-k)] Alt(F), divided exactly by n.
+    Each division by 1 + t or 1 - t^2 is a running sum over the layers.
     """
-    sums = [[0] * max(size - 2, 0) for _ in range(3)]
-    fact = math.factorial(size)
-    if size >= 3:
-        for lam in partitions_of(size):
-            scale = fact // z_of(lam) * class_sign(lam)
-            m1, m2 = lam.count(1), lam.count(2)
-            poly = twisted_count_poly(lam)
-            for acc, weight in zip(sums, (m1, m1 * (m1 - 1), -m2)):
-                w = weight * scale
-                if w:
-                    for j, c in enumerate(poly):
-                        acc[j] += w * c
-    return tuple(MotiveClass(tate={j: Fraction(c, fact) for j, c in enumerate(acc)}) for acc in sums)
+    if n == 0:
+        return ((1,),) * 4
+    total: tuple[int, ...] = ()
+    for k in range(1, n + 1):
+        s_k = sf._lincomb((1, _closed_point_poly(d)) for d in divisors(k))
+        term = _poly_mul(s_k, _alt_product_layer(n - k)[0])
+        total = sf._lincomb([(1, total), ((-1) ** (k - 1), term)])
+    f = sf._divide_exact(total, n)
+    prev = _alt_product_layer(n - 1)
+    by_1 = sf._lincomb([(1, f), (-1, prev[1])])
+    by_2 = sf._lincomb([(1, f), (1, _alt_product_layer(n - 2)[3] if n >= 2 else ())])
+    return f, by_1, sf._lincomb([(1, by_1), (-1, prev[2])]), by_2
 
 
 @cache
 def _alt_derivative_layer(n: int) -> tuple[MotiveClass, MotiveClass, MotiveClass]:
-    """[t^n] of Alt(a0'), Alt(a0'') and Alt(a0dot), straight from the point counts.
+    """[t^n] of Alt(a0'), Alt(a0'') and Alt(a0dot), from the product formula.
 
-    Alt sends p_lam to eps(lam) t^|lam|.  d/dp_1 removes a part 1, which
-    keeps eps, and d/dp_2 removes a part 2, which flips it; so
-    [t^n] Alt(a0') sums m_1 eps c_lam over lam |- n+1, [t^n] Alt(a0'')
-    sums m_1 (m_1 - 1) eps c_lam over lam |- n+2, and [t^n] Alt(a0dot)
-    sums -m_2 eps c_lam over lam |- n+2.
+    Alt is a ring homomorphism, so Alt(d/dp_1 F) = m_1 Alt(F)/(1 + t),
+    Alt(d^2/dp_1^2 F) = m_1 (m_1 - 1) Alt(F)/(1 + t)^2 and
+    Alt(d/dp_2 F) = m_2 Alt(F)/(1 - t^2).  a0 is F without its degrees
+    below 3, divided by q^3 - q; those degrees reach only t^0 and t^1 of
+    the first derivative and t^0 of the others, so Alt(a0') is kept from
+    t^2 on.
     """
-    return _signed_count_sums(n + 1)[0], *_signed_count_sums(n + 2)[1:]
+    _, by_1, by_11, by_2 = _alt_product_layer(n)
+    m1, two_m2 = _closed_point_poly(1), _closed_point_poly(2)
+    first = _poly_mul(m1, by_1) if n >= 2 else ()
+    second = _poly_mul(_poly_mul(m1, (m1[0] - 1, *m1[1:])), by_11)
+    return tuple(
+        MotiveClass(tate={j: Fraction(c, den) for j, c in enumerate(_divide_by_q3_minus_q(p))})
+        for p, den in ((first, 1), (second, 1), (_poly_mul(two_m2, by_2), 2))
+    )
 
 
 def a0_alt_derivatives(max_degree: int) -> tuple[sf.AltSeries, sf.AltSeries, sf.AltSeries]:
@@ -203,7 +215,8 @@ def a0_alt_derivatives(max_degree: int) -> tuple[sf.AltSeries, sf.AltSeries, sf.
 
     Equal to the ``.alt()`` of :func:`a0_first_derivative`,
     :func:`a0_second_derivative` and :func:`a0_p2_derivative`, without
-    building those series; every truncation shares the lower degrees.
+    building those series or walking a partition; every truncation
+    shares the lower degrees.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")

@@ -23,9 +23,11 @@ only the alternating image, and Alt is the ring homomorphism
 p_k -> (-1)^(k-1) t^k, so :func:`boundary_alt` never builds the
 symmetric-function sum: it runs the same formula on the one-variable
 series Alt(a0'') and Alt(a0dot).  Those series come from
-:func:`~cuspmotive.genus0.a0_alt_derivatives`, one cached degree at a
-time, so no symmetric-function derivative is built either.  The result
-is the closed form t/(1 - t^2), i.e. exactly 1 in each odd degree.
+:func:`~cuspmotive.genus0.a0_alt_derivatives`, the cycle-index product
+formula one cached degree at a time, so no symmetric-function derivative
+is built and no partition walked either.  Every truncation is a prefix
+of one growing solved series.  The result is the closed form
+t/(1 - t^2), i.e. exactly 1 in each odd degree.
 
 The composition with h_1 + b0' does not move the alternating image.
 Alt(a0' o (h_1 + b)) is a0' evaluated at p_k -> Alt(psi_k(h_1 + b)), so
@@ -103,11 +105,26 @@ def boundary_alt_from(
     return necklace_from(a0pp) + correction_from(a0dot, a0pp)
 
 
+# The largest alternating boundary series solved so far; boundary_alt slices it.
+_grown: list[sf.AltSeries] = []
+
+
 @cache
 def boundary_alt(max_degree: int) -> sf.AltSeries:
+    """Alternating image of the boundary sum through t^N, a prefix of one growing series.
+
+    An N past the built degree b solves once at max(N, 2b), capped at
+    max(N, ``pipeline.MAX_POINTS``); any other N solves nothing.
+    """
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
-    return boundary_alt_from(*genus0.a0_alt_derivatives(max_degree))
+    if not _grown or _grown[0].max_degree < max_degree:
+        from .pipeline import MAX_POINTS  # pipeline imports this module
+
+        built = _grown[0].max_degree if _grown else 0
+        top = min(max(max_degree, 2 * built), max(max_degree, MAX_POINTS))
+        _grown[:] = [boundary_alt_from(*genus0.a0_alt_derivatives(top))]
+    return _grown[0].truncate(max_degree)
 
 
 def b1_series(max_degree: int, a1_input: sf.SymSeries) -> sf.SymSeries:

@@ -44,8 +44,9 @@ def main_theorem(n: int) -> MainResult:
     The boundary coefficient is read off the alternating image of the
     necklace-plus-correction series, computed through the Alt ring
     homomorphism from Alt(a0'') and Alt(a0dot) alone: no plethysm, no
-    b0' and no symmetric-function derivative, since those images are
-    summed degree by degree from the point counts and shared across n
+    b0', no symmetric-function derivative and no partition walk, since
+    those images come from the cycle-index product formula one degree at
+    a time, and every n reads a prefix of one growing boundary series
     (composition with the stable-tree series provably does not move
     the result, given Alt(a0') = 0, which is checked on the way).  The
     interior coefficient comes from the symmetric-power decomposition of

@@ -196,7 +196,7 @@ def _divide_exact(poly, d: int) -> tuple[int, ...]:
     for c in poly:
         q, r = divmod(c, d)
         if r:
-            raise ArithmeticError("plethysm numerator is not divisible by N!")
+            raise ArithmeticError(f"numerator is not divisible by {d}")
         out.append(q)
     return tuple(out)
 
@@ -726,6 +726,11 @@ class AltSeries:
     def homogeneous(self, n: int) -> "AltSeries":
         """The degree-n part, at the same truncation."""
         return AltSeries(self.max_degree, self.degree_terms(n))
+
+    def truncate(self, new_max: int) -> "AltSeries":
+        if new_max > self.max_degree:
+            raise ValueError("cannot truncate upwards")
+        return AltSeries(new_max, {n: c for n, c in self._coeffs.items() if n <= new_max})
 
     def scaled(self, c) -> "AltSeries":
         """Each coefficient times c, an int, Fraction or MotiveClass."""

@@ -60,12 +60,12 @@ def _rational(x) -> MotiveClass:
 
 def check_alt_a0pp(max_degree: int = 14) -> CheckResult:
     """Alt(a0'') = t/(1+t): through ``max_degree`` from the SymSeries
-    derivative, through ``pipeline.MAX_POINTS`` from the fused layers."""
+    derivative, through ``pipeline.MAX_POINTS`` from the product formula."""
 
     def body():
         alt = genus0.a0_second_derivative(max_degree).alt()
-        fused = genus0.a0_alt_derivatives(pipeline.MAX_POINTS)[1]
-        for route, series in (("SymSeries", alt), ("fused", fused)):
+        product = genus0.a0_alt_derivatives(pipeline.MAX_POINTS)[1]
+        for route, series in (("SymSeries", alt), ("product", product)):
             for n in range(1, series.max_degree + 1):
                 _expect(
                     series.coefficient(n) == _rational((-1) ** (n - 1)),
@@ -94,12 +94,12 @@ def check_alt_psi_k(max_degree: int = 14) -> CheckResult:
 
 def check_alt_a0dot(max_degree: int = 14) -> CheckResult:
     """Alt(a0dot) = (1/2) t/(1-t): through ``max_degree`` from the SymSeries
-    derivative, through ``pipeline.MAX_POINTS`` from the fused layers."""
+    derivative, through ``pipeline.MAX_POINTS`` from the product formula."""
 
     def body():
         alt = genus0.a0_p2_derivative(max_degree).alt()
-        fused = genus0.a0_alt_derivatives(pipeline.MAX_POINTS)[2]
-        for route, series in (("SymSeries", alt), ("fused", fused)):
+        product = genus0.a0_alt_derivatives(pipeline.MAX_POINTS)[2]
+        for route, series in (("SymSeries", alt), ("product", product)):
             for n in range(1, series.max_degree + 1):
                 _expect(
                     series.coefficient(n) == _rational(Fraction(1, 2)),
@@ -113,12 +113,15 @@ def check_alt_a0dot(max_degree: int = 14) -> CheckResult:
 def check_alt_boundary(max_degree: int = 14) -> CheckResult:
     """Closed form of the boundary's alternating image, and the fast
     Alt-homomorphism route against the symmetric-function sum at every
-    truncation N = 2..max_degree."""
+    truncation N = 2..max_degree, each slice of the growing series
+    against a solve at N itself."""
 
     def body():
         alt = genus1_boundary.boundary_sum(max_degree).alt()
         for n in range(2, max_degree + 1):
             fast = genus1_boundary.boundary_alt(n)
+            direct = genus1_boundary.boundary_alt_from(*genus0.a0_alt_derivatives(n))
+            _expect(fast == direct, f"N={n}: the slice differs from a solve at N: {fast!r}")
             _expect(
                 all(fast.coefficient(k) == alt.coefficient(k) for k in range(n + 1)),
                 f"N={n}: boundary_alt differs from the SymSeries route: {fast!r}",

@@ -4,6 +4,7 @@ from fractions import Fraction
 import fraction_counts as fc
 import fraction_series as fs
 import pytest
+import signed_walk
 
 from cuspmotive import genus0, pipeline, symfunc as sf
 from cuspmotive.combinatorics import Partition, moebius, partitions_of
@@ -114,6 +115,28 @@ def test_fused_alt_derivatives_closed_forms():
     assert first == sf.AltSeries(n_max)
     assert second == sf.AltSeries(n_max, {n: (-1) ** (n - 1) for n in range(1, n_max + 1)})
     assert p2 == sf.AltSeries(n_max, {n: Fraction(1, 2) for n in range(1, n_max + 1)})
+
+
+def test_product_route_matches_signed_walk():
+    n_max = 20
+    got = genus0.a0_alt_derivatives(n_max)
+    assert got == signed_walk.alt_derivatives(n_max)
+    for n in range(1, n_max + 1):
+        assert genus0._alt_derivative_layer(n) == signed_walk.alt_derivative_layer(n), n
+
+
+def test_product_route_rational_function_identities():
+    n = 60
+    one, t = sf.AltSeries(n, {0: 1}), sf.AltSeries(n, {1: 1})
+    alt_f = sf.AltSeries(
+        n,
+        {k: MotiveClass(tate=dict(enumerate(genus0._alt_product_layer(k)[0]))) for k in range(n + 1)},
+    )
+    assert alt_f == (one + t) * (one + t.scaled(L))
+    first, second, p2 = genus0.a0_alt_derivatives(n)
+    assert first == sf.AltSeries(n)
+    assert (one + t) * second == t
+    assert (one - t) * p2.scaled(2) == t
 
 
 def test_ch_lie_low_degrees():

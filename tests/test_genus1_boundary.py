@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,44 @@ def test_boundary_alt_truncates_consistently():
     for n in range(2, pipeline.MAX_POINTS):
         low = bdry.boundary_alt(n)
         assert all(low.coefficient(k) == top.coefficient(k) for k in range(n + 1))
+
+
+def _fresh_boundary(monkeypatch):
+    """Forget every solved boundary series and count the solves from here on."""
+    monkeypatch.setattr(bdry, "_grown", [])
+    bdry.boundary_alt.cache_clear()
+    solves = []
+    solve = bdry.boundary_alt_from
+
+    def counted(*args):
+        solves.append(args[0].max_degree)
+        return solve(*args)
+
+    monkeypatch.setattr(bdry, "boundary_alt_from", counted)
+    return solves
+
+
+def test_boundary_alt_slices_equal_direct_solves(monkeypatch):
+    _fresh_boundary(monkeypatch)
+    order = list(range(2, pipeline.MAX_POINTS + 1))
+    random.Random(12).shuffle(order)
+    for n in order:
+        assert bdry.boundary_alt(n) == bdry.boundary_alt_from(*genus0.a0_alt_derivatives(n)), n
+
+
+def test_boundary_alt_solves_once_per_doubling(monkeypatch):
+    solves = _fresh_boundary(monkeypatch)
+    for n in range(2, 13):
+        bdry.boundary_alt(n)
+    assert solves == [2, 4, 8, 16]
+    solves = _fresh_boundary(monkeypatch)
+    bdry.boundary_alt(11)
+    bdry.boundary_alt(7)
+    assert solves == [11]
+    solves = _fresh_boundary(monkeypatch)
+    for n in range(2, pipeline.MAX_POINTS + 3):
+        bdry.boundary_alt(n)
+    assert solves == [2, 4, 8, 16, pipeline.MAX_POINTS, pipeline.MAX_POINTS + 1, pipeline.MAX_POINTS + 2]
 
 
 def test_boundary_alt_from_rejects_nonzero_alt_of_a0_first_derivative():

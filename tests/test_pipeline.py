@@ -165,10 +165,25 @@ def test_theorem_path_builds_no_symseries_derivatives(monkeypatch):
 
     monkeypatch.setattr(sf.SymSeries, "p_derivative", refuse)
     monkeypatch.setattr(sf.SymSeries, "alt", refuse)
+    monkeypatch.setattr(genus1_boundary, "_grown", [])
     genus1_boundary.boundary_alt.cache_clear()
     genus0._alt_derivative_layer.cache_clear()
-    genus0._signed_count_sums.cache_clear()
+    genus0._alt_product_layer.cache_clear()
     for n in range(1, 13):
+        assert pipeline.main_theorem(n).total == pipeline.expected_total(n)
+
+
+def test_theorem_path_walks_no_partitions(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the theorem path walked partitions or counted points by cycle type")
+
+    monkeypatch.setattr(genus1_boundary, "_grown", [])
+    genus1_boundary.boundary_alt.cache_clear()
+    genus0._alt_derivative_layer.cache_clear()
+    genus0._alt_product_layer.cache_clear()
+    monkeypatch.setattr(genus0, "partitions_of", refuse)
+    monkeypatch.setattr(genus0, "twisted_count_poly", refuse)
+    for n in range(1, pipeline.MAX_POINTS + 1):
         assert pipeline.main_theorem(n).total == pipeline.expected_total(n)
 
 

@@ -65,10 +65,9 @@ def _stratum_json(ec) -> dict:
         table = [[list(ct), v] for ct, v in sorted(ec.bins[(m, w)].items())]
         bins.append([m, w, table])
     sym = []
-    multiplicities = ec.sym_multiplicities()
-    for (k, j), table in sorted(multiplicities.items()):
+    for (k, j), table in sorted(ec.sym_multiplicities.items()):
         sym.append([k, j, [[list(ct), v] for ct, v in sorted(table.items())]])
-    alt = [[m, w, c] for (m, w), c in sorted(ec.alternating_parts(multiplicities).items())]
+    alt = [[m, w, c] for (m, w), c in sorted(ec.alternating_parts().items())]
     return {"points": ec.n, "bins": bins, "sym_multiplicities": sym, "alternating": alt}
 
 
@@ -172,12 +171,11 @@ def _cmd_open_stratum(args) -> int:
             )
             lines.append(f"  (degree {m}, weight {w})  {row}")
         lines.append("local-system multiplicities (k, twist):")
-        multiplicities = ec.sym_multiplicities()
-        for (k, j), table in sorted(multiplicities.items()):
+        for (k, j), table in sorted(ec.sym_multiplicities.items()):
             row = ", ".join(f"{_partition_name(ct)}:{v}" for ct, v in sorted(table.items()))
             lines.append(f"  (k={k}, j={j})  {row}")
         lines.append("sign component by (degree, weight):")
-        for (m, w), c in sorted(ec.alternating_parts(multiplicities).items()):
+        for (m, w), c in sorted(ec.alternating_parts().items()):
             lines.append(f"  ({m}, {w}): {c}")
         return lines
 

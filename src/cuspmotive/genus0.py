@@ -34,7 +34,9 @@ a0'' (both in p_1) and a0dot (in p_2).  Over every cycle type at once the
 twisted counts form Getzler's cycle-index product prod_d (1 + p_d)^(m_d),
 whose Alt is (1 + t)(1 + qt); :func:`a0_alt_derivatives` reads the three
 images off it in Z[q][[t]], each degree cached once for every truncation
-and no partition walked.  :func:`b0_prime` is solved one cached
+and no partition walked, and hands them to ``AltSeries`` as integer
+polynomials over the denominators 1, 1 and 2, so no ``MotiveClass`` or
+Fraction is made on the way.  :func:`b0_prime` is solved one cached
 degree at a time, each degree one integer plethysm a0' o (h_1 + b).  The
 ``SymSeries`` derivatives :func:`a0_first_derivative`,
 :func:`a0_second_derivative` and :func:`a0_p2_derivative` serve b0', the
@@ -72,16 +74,6 @@ def closed_point_count(d: int) -> MotiveClass:
     return MotiveClass(tate={j: Fraction(c, d) for j, c in enumerate(_closed_point_poly(d))})
 
 
-def _poly_mul(a, b) -> tuple[int, ...]:
-    """Product in Z[q], skipping the zero coefficients of a."""
-    out = [0] * max(len(a) + len(b) - 1, 0)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
-
-
 @cache
 def _count_numerator(parts: tuple[int, ...]) -> tuple[int, ...]:
     """Numerator of :func:`twisted_count_poly`, one factor d m_d(q) - d t per part.
@@ -95,7 +87,7 @@ def _count_numerator(parts: tuple[int, ...]) -> tuple[int, ...]:
     rest, d = parts[:-1], parts[-1]
     factor = list(_closed_point_poly(d))
     factor[0] -= d * rest.count(d)
-    return _poly_mul(factor, _count_numerator(rest))
+    return sf._poly_mul(factor, _count_numerator(rest))
 
 
 def _divide_by_q3_minus_q(num) -> tuple[int, ...]:
@@ -180,7 +172,7 @@ def _alt_product_layer(n: int) -> tuple[tuple[int, ...], ...]:
     total: tuple[int, ...] = ()
     for k in range(1, n + 1):
         s_k = sf._lincomb((1, _closed_point_poly(d)) for d in divisors(k))
-        term = _poly_mul(s_k, _alt_product_layer(n - k)[0])
+        term = sf._poly_mul(s_k, _alt_product_layer(n - k)[0])
         total = sf._lincomb([(1, total), ((-1) ** (k - 1), term)])
     f = sf._divide_exact(total, n)
     prev = _alt_product_layer(n - 1)
@@ -190,23 +182,22 @@ def _alt_product_layer(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @cache
-def _alt_derivative_layer(n: int) -> tuple[MotiveClass, MotiveClass, MotiveClass]:
-    """[t^n] of Alt(a0'), Alt(a0'') and Alt(a0dot), from the product formula.
+def _alt_derivative_layer(n: int) -> tuple[tuple[int, ...], ...]:
+    """[t^n] of Alt(a0'), Alt(a0'') and 2 Alt(a0dot) in Z[q], from the product formula.
 
     Alt is a ring homomorphism, so Alt(d/dp_1 F) = m_1 Alt(F)/(1 + t),
     Alt(d^2/dp_1^2 F) = m_1 (m_1 - 1) Alt(F)/(1 + t)^2 and
     Alt(d/dp_2 F) = m_2 Alt(F)/(1 - t^2).  a0 is F without its degrees
     below 3, divided by q^3 - q; those degrees reach only t^0 and t^1 of
     the first derivative and t^0 of the others, so Alt(a0') is kept from
-    t^2 on.
+    t^2 on.  The factor 2 m_2 = q^2 - q keeps the third in Z[q].
     """
     _, by_1, by_11, by_2 = _alt_product_layer(n)
     m1, two_m2 = _closed_point_poly(1), _closed_point_poly(2)
-    first = _poly_mul(m1, by_1) if n >= 2 else ()
-    second = _poly_mul(_poly_mul(m1, (m1[0] - 1, *m1[1:])), by_11)
+    first = sf._poly_mul(m1, by_1) if n >= 2 else ()
+    second = sf._poly_mul(sf._poly_mul(m1, (m1[0] - 1, *m1[1:])), by_11)
     return tuple(
-        MotiveClass(tate={j: Fraction(c, den) for j, c in enumerate(_divide_by_q3_minus_q(p))})
-        for p, den in ((first, 1), (second, 1), (_poly_mul(two_m2, by_2), 2))
+        _divide_by_q3_minus_q(p) for p in (first, second, sf._poly_mul(two_m2, by_2))
     )
 
 
@@ -216,13 +207,15 @@ def a0_alt_derivatives(max_degree: int) -> tuple[sf.AltSeries, sf.AltSeries, sf.
     Equal to the ``.alt()`` of :func:`a0_first_derivative`,
     :func:`a0_second_derivative` and :func:`a0_p2_derivative`, without
     building those series or walking a partition; every truncation
-    shares the lower degrees.
+    shares the lower degrees.  The layers are integer polynomials, and
+    the 1/2 of Alt(a0dot) is its series denominator.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     layers = {n: _alt_derivative_layer(n) for n in range(1, max_degree + 1)}
     return tuple(
-        sf.AltSeries(max_degree, {n: layer[i] for n, layer in layers.items()}) for i in range(3)
+        sf.AltSeries._make(max_degree, {0: {n: layer[i] for n, layer in layers.items()}}, den)
+        for i, den in enumerate((1, 1, 2))
     )
 
 

@@ -25,9 +25,12 @@ symmetric-function sum: it runs the same formula on the one-variable
 series Alt(a0'') and Alt(a0dot).  Those series come from
 :func:`~cuspmotive.genus0.a0_alt_derivatives`, the cycle-index product
 formula one cached degree at a time, so no symmetric-function derivative
-is built and no partition walked either.  Every truncation is a prefix
-of one growing solved series.  The result is the closed form
-t/(1 - t^2), i.e. exactly 1 in each odd degree.
+is built and no partition walked either.  ``AltSeries`` stores integer
+channels over one denominator, as ``SymSeries`` does, so the whole
+solve is integer arithmetic: no ``MotiveClass`` or Fraction is made
+until a caller reads a coefficient.  Every truncation is a prefix of one
+growing solved series.  The result is the closed form t/(1 - t^2), i.e.
+exactly 1 in each odd degree.
 
 The composition with h_1 + b0' does not move the alternating image.
 Alt(a0' o (h_1 + b)) is a0' evaluated at p_k -> Alt(psi_k(h_1 + b)), so
@@ -46,10 +49,8 @@ from functools import cache
 from . import genus0, symfunc as sf
 from .combinatorics import euler_phi
 
-_Series = sf.SymSeries | sf.AltSeries
 
-
-def necklace_from(a0pp: _Series) -> _Series:
+def necklace_from(a0pp: sf.TruncatedSeries) -> sf.TruncatedSeries:
     """Necklace series from a given second-derivative input of either series type.
 
     psi_m is a ring endomorphism, so one logarithm serves every m.
@@ -62,7 +63,7 @@ def necklace_from(a0pp: _Series) -> _Series:
     return total.scaled(Fraction(-1, 2))
 
 
-def correction_from(a0dot: _Series, a0pp: _Series) -> _Series:
+def correction_from(a0dot: sf.TruncatedSeries, a0pp: sf.TruncatedSeries) -> sf.TruncatedSeries:
     """Short-cycle correction from given derivative inputs of either series type."""
     psi2 = a0pp.adams(2)
     num = a0dot * a0dot + a0dot + psi2.scaled(Fraction(1, 4))
@@ -100,7 +101,7 @@ def boundary_alt_from(
     alternating images.  A nonzero Alt(a0') would let the composition with
     h_1 + b0' move the result, and is fatal.
     """
-    if a0p.items():
+    if not a0p.is_zero():
         raise RuntimeError("Alt(a0') is nonzero, so composition could move Alt")
     return necklace_from(a0pp) + correction_from(a0dot, a0pp)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 from .combinatorics import (
     Partition,
@@ -30,7 +30,8 @@ from .combinatorics import (
 from .motive import MotiveClass
 
 
-def _poly_mul(a: dict, b: dict) -> dict:
+def _bin_product(a: dict, b: dict) -> dict:
+    """Product of two tables keyed by (degree, weight) bins, whose keys add."""
     out: dict = {}
     for (d1, w1), c1 in a.items():
         for (d2, w2), c2 in b.items():
@@ -55,9 +56,9 @@ def graded_traces(n: int, ct) -> dict:
     first, *rest = ct
     traces = {(0, 0): 1}
     for sign in (1, -1):
-        traces = _poly_mul(traces, {(i, sign * i): (-1) ** i for i in range(first)})
+        traces = _bin_product(traces, {(i, sign * i): (-1) ** i for i in range(first)})
         for k in rest:
-            traces = _poly_mul(traces, {(0, 0): 1, (k, sign * k): (-1) ** (k + 1)})
+            traces = _bin_product(traces, {(0, 0): 1, (k, sign * k): (-1) ** (k + 1)})
     return traces
 
 
@@ -118,6 +119,7 @@ class EquivariantClass:
         ident = Partition((1,) * self.n)
         return sum(vec.get(ident, 0) for vec in self.bins.values())
 
+    @cached_property
     def sym_multiplicities(self) -> dict:
         """Virtual multiplicity of Sym^k (x) L^j per class, by weight differencing.
 
@@ -138,12 +140,12 @@ class EquivariantClass:
                 out[(w, (m - w) // 2)] = diff
         return out
 
-    def alternating_parts(self, sym: dict | None = None) -> dict:
-        """Sign multiplicity per Sym^k (x) L^j slot, from ``sym_multiplicities()`` or ``sym``."""
+    def alternating_parts(self) -> dict:
+        """Sign multiplicity per Sym^k (x) L^j slot, from :attr:`sym_multiplicities`."""
         order = math.factorial(self.n)
         weight = {lam: class_sign(lam) * (order // z_of(lam)) for lam in partitions_of(self.n)}
         result = {}
-        for (k, j), vec in (self.sym_multiplicities() if sym is None else sym).items():
+        for (k, j), vec in self.sym_multiplicities.items():
             total, rem = divmod(sum(weight[ct] * v for ct, v in vec.items()), order)
             if rem:
                 raise RuntimeError(f"non-integral sign multiplicity at {(k, j)}")
@@ -169,7 +171,7 @@ def _stratum_count(parts: tuple[int, ...]) -> dict:
             terms = (((a + b, a - b), mu) for a in range(e) for b in range(e))
         for key, c in terms:
             factor[key] = factor.get(key, 0) + c
-    return _poly_mul(_stratum_count(rest) if rest else {(0, 0): 1}, factor)
+    return _bin_product(_stratum_count(rest) if rest else {(0, 0): 1}, factor)
 
 
 def ec_open_stratum(n: int) -> EquivariantClass:
@@ -255,7 +257,7 @@ def interior_small_series(max_degree: int, n_max: int | None = None):
     terms: dict[Partition, MotiveClass] = {}
     for n in range(1, n_max + 1):
         ec = ec_open_stratum(n)
-        for (k, j), vec in ec.sym_multiplicities().items():
+        for (k, j), vec in ec.sym_multiplicities.items():
             factor = local_system_euler(k) * MotiveClass.lefschetz(j)
             if factor.is_zero():
                 continue

@@ -1,23 +1,31 @@
-"""Truncated symmetric functions, stored by their integer traces.
+"""Truncated series with integer channels: symmetric functions and their Alt images.
+
+Both series types share one stored form, :class:`TruncatedSeries`: the
+coefficient at a key k is a :class:`~cuspmotive.motive.MotiveClass`
+stored as polynomials in L with integer coefficients (tuples, constant
+term first) in one channel per kind of class, channel 0 for the Tate
+part and channel k for the coefficient of the cusp symbol S[k], divided
+by weight(k) D.  One positive integer denominator D per series covers
+rational coefficients, coprime to the content of the channels, so equal
+series are stored equally; construction, this normal form, sums,
+scaling, truncation and equality are written once for both types.
 
 A :class:`SymSeries` is a symmetric function of bounded degree,
 ``sum_lam c_lam p_lam`` over partitions lam of size at most the
-truncation degree, with each ``c_lam`` a
-:class:`~cuspmotive.motive.MotiveClass`.  It is stored by its traces
-f_lam = z_lam c_lam, the value of the class function at a permutation of
-cycle type lam.  Each trace is a polynomial in L with integer
-coefficients (a tuple, constant term first) in one channel per kind of
-class: channel 0 holds the Tate part and channel k the coefficient of
-the cusp symbol S[k].  One positive integer denominator D per series
-covers rational coefficients, c_lam = f_lam / (z_lam D).  D is 1 for a0,
-b0', h_k and s_lam, and coprime to the content of the traces otherwise,
-so equal series are stored equally.
+truncation degree, keyed by lam with weight z_lam: it is stored by its
+traces f_lam = z_lam c_lam, the value of the class function at a
+permutation of cycle type lam.  D is 1 for a0, b0', h_k and s_lam.  An
+:class:`AltSeries` is a power series in one variable t, keyed by the
+degree n with weight 1; it holds images of the alternating functional.
 
 Every operation is integer arithmetic on traces:
 
 * product: f_(lam u mu) += B(lam, mu) f_lam g_mu, where
   B = z_(lam u mu) / (z_lam z_mu) is a product of binomial coefficients;
-* psi_k = p_k o (.): f_(k lam) = k^l(lam) f_lam(L^k) (``adams``);
+  for an ``AltSeries`` the channels of degrees i and n - i multiply into
+  degree n;
+* psi_k = p_k o (.): f_(k lam) = k^l(lam) f_lam(L^k) (``adams``), and on
+  Alt images degree d moves to dk with the sign (-1)^((k-1)d);
 * d/dp_k: f'_mu = f_(mu u (k)) / k, an index shift, with k moved into D;
 * plethysm: f o g = sum_lam (f_lam / z_lam) prod_i psi_(lam_i)(g) is
   accumulated with the integer weights N!/z_lam and divided by N! once.
@@ -26,20 +34,20 @@ Every operation is integer arithmetic on traces:
 * Alt, Schur coefficients, inner products and ranks are integer dot
   products over the traces of one degree, divided once.
 
-Polynomial products run on Kronecker-packed ints: a polynomial whose
-coefficients are at most B in absolute value is stored as its value at
-L = 2^w with w = bitlength(B) + 1, and is unpacked in balanced digits.
-Each operation takes B from a proven bound on its own output and
-unpacks through a guard that refuses a width below that bound.  Between
-operations the traces are kept unpacked, so no width is carried from
-one operation to the next.
+Polynomial products of symmetric functions run on Kronecker-packed ints:
+a polynomial whose coefficients are at most B in absolute value is
+stored as its value at L = 2^w with w = bitlength(B) + 1, and is
+unpacked in balanced digits.  Each operation takes B from a proven bound
+on its own output and unpacks through a guard that refuses a width below
+that bound.  Between operations the traces are kept unpacked, so no
+width is carried from one operation to the next.
 
-``MotiveClass`` stays the public coefficient type: ``coefficient()``,
-``items()``, ``degree_terms()``, ``to_schur()`` and ``to_json()``
-convert, and the constructor takes MotiveClass, int or Fraction
-coefficients.  Degree bookkeeping is strict: all binary operations
-require both operands to carry the same truncation degree, and
-``p_derivative`` returns a series with the correspondingly lower
+``MotiveClass`` is the public coefficient type of both series types:
+``coefficient()``, ``items()``, ``degree_terms()``, ``to_schur()`` and
+``to_json()`` convert, and the constructors take MotiveClass, int or
+Fraction coefficients.  Degree bookkeeping is strict: all binary
+operations require both operands to carry the same truncation degree,
+and ``p_derivative`` returns a series with the correspondingly lower
 truncation.
 """
 
@@ -88,6 +96,16 @@ def _lincomb(pairs) -> tuple[int, ...]:
         for j, c in enumerate(poly):
             acc[j] += w * c
     return _trim(acc)
+
+
+def _poly_mul(a, b) -> tuple[int, ...]:
+    """Product in Z[L], skipping the zero coefficients of a."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _trim(out)
 
 
 def _l1(poly) -> int:
@@ -233,32 +251,40 @@ def _order(lam) -> tuple:
     return sum(lam), tuple(-part for part in lam)
 
 
-class SymSeries:
-    """Symmetric function truncated above ``max_degree``, stored by traces."""
+class TruncatedSeries:
+    """A series truncated above ``max_degree``, stored by integer channels.
+
+    The coefficient at a key k is the class whose channel polynomials are
+    ``_traces[channel][k]`` over weight(k) D: channel 0 holds the Tate
+    part and channel j the coefficient of S[j], over one positive integer
+    denominator D per series, coprime to the content of the traces.  A
+    subclass fixes the keys through ``_key`` (a key from its input form),
+    ``_size`` (its degree), ``_weight`` and ``_sort_key``, names the key of
+    the unit ``_UNIT_KEY`` and multiplies two channels in ``_channel_product``.
+    """
 
     __slots__ = ("max_degree", "_traces", "_den")
-    _UNIT_KEY = ()
 
     def __init__(self, max_degree: int, terms=None):
-        fractions: dict[int, dict[Partition, dict[int, Fraction]]] = {}
-        for lam, c in (terms or {}).items():
-            lam = Partition(lam)
-            if lam.size > max_degree:
-                raise ValueError(f"term p_{tuple(lam)} exceeds truncation degree {max_degree}")
-            z = _z(lam)
+        fractions: dict[int, dict] = {}
+        for key, c in (terms or {}).items():
+            key = self._key(key)
+            if not 0 <= self._size(key) <= max_degree:
+                raise ValueError(f"term {key!r} is outside truncation degree {max_degree}")
+            w = self._weight(key)
             c = _coerce_coeff(c)
             for j, v in c.tate_items():
-                fractions.setdefault(0, {}).setdefault(lam, {})[j] = v * z
+                fractions.setdefault(0, {}).setdefault(key, {})[j] = v * w
             for (k, j), v in c.cusp_items():
-                fractions.setdefault(k, {}).setdefault(lam, {})[j] = v * z
+                fractions.setdefault(k, {}).setdefault(key, {})[j] = v * w
         den = math.lcm(
             1,
             *(v.denominator for ch in fractions.values() for p in ch.values() for v in p.values()),
         )
         traces = {
             k: {
-                lam: _trim([int(p.get(j, 0) * den) for j in range(max(p) + 1)])
-                for lam, p in ch.items()
+                key: _trim([int(p.get(j, 0) * den) for j in range(max(p) + 1)])
+                for key, p in ch.items()
             }
             for k, ch in fractions.items()
         }
@@ -270,14 +296,14 @@ class SymSeries:
             raise ValueError("max_degree must be nonnegative")
         clean = {}
         for k, channel in traces.items():
-            channel = {lam: p for lam, p in channel.items() if p}
+            channel = {key: p for key, p in channel.items() if p}
             if channel:
                 clean[k] = channel
         if den != 1:
             g = math.gcd(den, *(c for ch in clean.values() for p in ch.values() for c in p))
             if g != 1:
                 clean = {
-                    k: {lam: tuple(c // g for c in p) for lam, p in ch.items()}
+                    k: {key: tuple(c // g for c in p) for key, p in ch.items()}
                     for k, ch in clean.items()
                 }
                 den //= g
@@ -286,10 +312,180 @@ class SymSeries:
         object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _make(cls, max_degree: int, traces: dict, den: int = 1) -> "SymSeries":
+    def _make(cls, max_degree: int, traces: dict, den: int = 1):
+        """A series from trimmed integer traces over den, without coercion."""
         out = object.__new__(cls)
         out._setup(max_degree, traces, den)
         return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    # -- inspection ---------------------------------------------------
+
+    def _keys(self) -> list:
+        keys = set()
+        for channel in self._traces.values():
+            keys.update(channel)
+        return sorted(keys, key=self._sort_key)
+
+    def coefficient(self, key) -> MotiveClass:
+        key = self._key(key)
+        channels = {k: ch[key] for k, ch in self._traces.items() if key in ch}
+        return _motive(channels, self._weight(key) * self._den)
+
+    def items(self):
+        return tuple((key, self.coefficient(key)) for key in self._keys())
+
+    def degree_terms(self, n: int) -> dict:
+        return {key: self.coefficient(key) for key in self._keys() if self._size(key) == n}
+
+    def is_zero(self) -> bool:
+        return not self._traces
+
+    def is_tate_only(self) -> bool:
+        return all(k == 0 for k in self._traces)
+
+    def constant_term(self) -> MotiveClass:
+        return self.coefficient(self._UNIT_KEY)
+
+    # -- degree management ---------------------------------------------
+
+    def _restricted(self, keep, max_degree: int | None = None):
+        traces = {
+            k: {key: p for key, p in ch.items() if keep(self._size(key))}
+            for k, ch in self._traces.items()
+        }
+        if max_degree is None:
+            max_degree = self.max_degree
+        return self._make(max_degree, traces, self._den)
+
+    def truncate(self, new_max: int):
+        if new_max > self.max_degree:
+            raise ValueError("cannot truncate upwards")
+        return self._restricted(lambda size: size <= new_max, new_max)
+
+    def homogeneous(self, n: int):
+        """The degree-n part, at the same truncation."""
+        return self._restricted(lambda size: size == n)
+
+    def _require_same_degree(self, other):
+        if self.max_degree != other.max_degree:
+            raise ValueError(
+                f"truncation degrees differ: {self.max_degree} vs {other.max_degree}"
+            )
+
+    # -- linear structure ----------------------------------------------
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._require_same_degree(other)
+        den = math.lcm(self._den, other._den)
+        traces: dict = {}
+        _add_traces(traces, self._traces, den // self._den)
+        _add_traces(traces, other._traces, den // other._den)
+        return self._make(self.max_degree, traces, den)
+
+    def __neg__(self):
+        return self.scaled(-1)
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def scaled(self, c):
+        """Each coefficient times c, an int, Fraction or MotiveClass."""
+        if isinstance(c, MotiveClass):
+            return self * type(self)(self.max_degree, {self._UNIT_KEY: c})
+        c = Fraction(c)
+        if not c:
+            return self._make(self.max_degree, {})
+        traces = {
+            k: {key: tuple(c.numerator * x for x in p) for key, p in ch.items()}
+            for k, ch in self._traces.items()
+        }
+        return self._make(self.max_degree, traces, self._den * c.denominator)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, MotiveClass)):
+            return self.scaled(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._require_same_degree(other)
+        n = self.max_degree
+        traces: dict = {}
+        for ka, a in self._traces.items():
+            for kb, b in other._traces.items():
+                if ka and kb:
+                    if min(map(self._size, a)) + min(map(self._size, b)) <= n:
+                        raise UnsupportedCuspOperation(
+                            "product of two cusp symbols is outside the supported ring"
+                        )
+                    continue
+                _add_traces(traces, {ka or kb: self._channel_product(a, b, n)})
+        return self._make(n, traces, self._den * other._den)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction, MotiveClass)):
+            return self.scaled(other)
+        return NotImplemented
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (
+            self.max_degree == other.max_degree
+            and self._den == other._den
+            and self._traces == other._traces
+        )
+
+    __hash__ = None
+
+    def _stretched(self, m: int, image):
+        """psi_m on the Tate traces: key -> image(key) = (new key, scale) and
+        L -> L^m; terms moved past the truncation are dropped."""
+        if m < 1:
+            raise ValueError("m must be >= 1")
+        n = self.max_degree
+        for k, channel in self._traces.items():
+            if k and any(self._size(key) * m <= n for key in channel):
+                raise UnsupportedCuspOperation(
+                    "Adams operations are only defined on Tate-only classes"
+                )
+        traces = {}
+        for key, p in self._traces.get(0, {}).items():
+            if self._size(key) * m <= n:
+                new_key, scale = image(key)
+                stretched = [0] * (m * (len(p) - 1) + 1)
+                stretched[::m] = [scale * c for c in p]
+                traces[new_key] = tuple(stretched)
+        return self._make(n, {0: traces}, self._den)
+
+
+class SymSeries(TruncatedSeries):
+    """Symmetric function truncated above ``max_degree``, stored by traces.
+
+    Keyed by partitions lam with weight z_lam.
+    """
+
+    __slots__ = ()
+    _UNIT_KEY = ()
+    _key = Partition
+    _size = staticmethod(sum)
+    _weight = staticmethod(_z)
+    _sort_key = staticmethod(_order)
+    _channel_product = staticmethod(_trace_product)
+
+    # Bound in this class's own dict too: perfbench/tracing.py wraps them in vars(SymSeries).
+    __add__, __sub__, __neg__, __mul__, __rmul__, __eq__ = (
+        TruncatedSeries.__add__, TruncatedSeries.__sub__, TruncatedSeries.__neg__,
+        TruncatedSeries.__mul__, TruncatedSeries.__rmul__, TruncatedSeries.__eq__,
+    )
+    scaled, truncate, degree_terms = (
+        TruncatedSeries.scaled, TruncatedSeries.truncate, TruncatedSeries.degree_terms,
+    )
 
     @classmethod
     def from_traces(cls, max_degree: int, traces: dict) -> "SymSeries":
@@ -303,135 +499,11 @@ class SymSeries:
         }
         return cls._make(max_degree, {0: trimmed})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SymSeries is immutable")
-
-    # -- inspection ---------------------------------------------------
-
-    def _keys(self) -> list[Partition]:
-        keys = set()
-        for channel in self._traces.values():
-            keys.update(channel)
-        return sorted(keys, key=_order)
-
-    def coefficient(self, lam) -> MotiveClass:
-        lam = Partition(lam)
-        channels = {k: ch[lam] for k, ch in self._traces.items() if lam in ch}
-        return _motive(channels, _z(lam) * self._den)
-
-    def items(self):
-        return tuple((lam, self.coefficient(lam)) for lam in self._keys())
-
-    def degree_terms(self, n: int) -> dict[Partition, MotiveClass]:
-        return {lam: self.coefficient(lam) for lam in self._keys() if sum(lam) == n}
-
-    def is_zero(self) -> bool:
-        return not self._traces
-
-    def is_tate_only(self) -> bool:
-        return all(k == 0 for k in self._traces)
-
-    def constant_term(self) -> MotiveClass:
-        return self.coefficient(())
-
-    # -- degree management ---------------------------------------------
-
-    def _restricted(self, keep, max_degree: int | None = None) -> "SymSeries":
-        traces = {
-            k: {lam: p for lam, p in ch.items() if keep(sum(lam))} for k, ch in self._traces.items()
-        }
-        if max_degree is None:
-            max_degree = self.max_degree
-        return SymSeries._make(max_degree, traces, self._den)
-
-    def truncate(self, new_max: int) -> "SymSeries":
-        if new_max > self.max_degree:
-            raise ValueError("cannot truncate upwards; use zero_extended")
-        return self._restricted(lambda size: size <= new_max, new_max)
-
     def zero_extended(self, new_max: int) -> "SymSeries":
         """Reinterpret at a higher truncation, treating missing degrees as 0."""
         if new_max < self.max_degree:
             raise ValueError("use truncate to lower the degree")
         return SymSeries._make(new_max, self._traces, self._den)
-
-    def homogeneous(self, n: int) -> "SymSeries":
-        """The degree-n part, at the same truncation."""
-        return self._restricted(lambda size: size == n)
-
-    def _require_same_degree(self, other: "SymSeries"):
-        if self.max_degree != other.max_degree:
-            raise ValueError(
-                f"truncation degrees differ: {self.max_degree} vs {other.max_degree}"
-            )
-
-    # -- linear structure ----------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, SymSeries):
-            return NotImplemented
-        self._require_same_degree(other)
-        den = math.lcm(self._den, other._den)
-        traces: dict = {}
-        _add_traces(traces, self._traces, den // self._den)
-        _add_traces(traces, other._traces, den // other._den)
-        return SymSeries._make(self.max_degree, traces, den)
-
-    def __neg__(self):
-        return self.scaled(-1)
-
-    def __sub__(self, other):
-        if not isinstance(other, SymSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def scaled(self, c) -> "SymSeries":
-        """Each coefficient times c, an int, Fraction or MotiveClass."""
-        if isinstance(c, MotiveClass):
-            return self * SymSeries(self.max_degree, {(): c})
-        c = Fraction(c)
-        if not c:
-            return SymSeries(self.max_degree)
-        traces = {
-            k: {lam: tuple(c.numerator * x for x in p) for lam, p in ch.items()}
-            for k, ch in self._traces.items()
-        }
-        return SymSeries._make(self.max_degree, traces, self._den * c.denominator)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, MotiveClass)):
-            return self.scaled(other)
-        if not isinstance(other, SymSeries):
-            return NotImplemented
-        self._require_same_degree(other)
-        n = self.max_degree
-        traces: dict = {}
-        for ka, a in self._traces.items():
-            for kb, b in other._traces.items():
-                if ka and kb:
-                    if min(map(sum, a)) + min(map(sum, b)) <= n:
-                        raise UnsupportedCuspOperation(
-                            "product of two cusp symbols is outside the supported ring"
-                        )
-                    continue
-                _add_traces(traces, {ka or kb: _trace_product(a, b, n)})
-        return SymSeries._make(n, traces, self._den * other._den)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, MotiveClass)):
-            return self.scaled(other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, SymSeries):
-            return NotImplemented
-        return (
-            self.max_degree == other.max_degree
-            and self._den == other._den
-            and self._traces == other._traces
-        )
-
-    __hash__ = None
 
     def __repr__(self):
         if not self._traces:
@@ -493,19 +565,17 @@ class SymSeries:
         """Alternating functional: sum_n <s_(1^n), f_n> t^n.
 
         In the power-sum basis <s_(1^n), p_lam> is the sign of the class
-        lam, so [t^n] is sum_(lam |- n) sign(lam) (n!/z_lam) f_lam over n! D.
+        lam, so [t^n] is sum_(lam |- n) sign(lam) (N!/z_lam) f_lam over N! D
+        at truncation N, one integer sum per degree and channel.
         """
-        pairs: dict[int, dict[int, list]] = {}
+        fact = math.factorial(self.max_degree)
+        traces = {}
         for k, channel in self._traces.items():
+            pairs: dict[int, list] = {}
             for lam, p in channel.items():
-                n = sum(lam)
-                w = class_sign(lam) * (math.factorial(n) // _z(lam))
-                pairs.setdefault(n, {}).setdefault(k, []).append((w, p))
-        coeffs = {
-            n: _motive({k: _lincomb(ps) for k, ps in chans.items()}, math.factorial(n) * self._den)
-            for n, chans in pairs.items()
-        }
-        return AltSeries(self.max_degree, coeffs)
+                pairs.setdefault(sum(lam), []).append((class_sign(lam) * (fact // _z(lam)), p))
+            traces[k] = {n: _lincomb(ps) for n, ps in pairs.items()}
+        return AltSeries._make(self.max_degree, traces, fact * self._den)
 
     def sign_twist(self) -> "SymSeries":
         """Degreewise tensor with the sign character: p_lam picks up
@@ -539,22 +609,9 @@ class SymSeries:
 
         In traces, f_(m lam) = m^l(lam) f_lam(L^m).
         """
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        n = self.max_degree
-        for k, channel in self._traces.items():
-            if k and any(sum(lam) * m <= n for lam in channel):
-                raise UnsupportedCuspOperation(
-                    "Adams operations are only defined on Tate-only classes"
-                )
-        traces = {}
-        for lam, p in self._traces.get(0, {}).items():
-            if sum(lam) * m <= n:
-                scale = m ** len(lam)
-                stretched = [0] * (m * (len(p) - 1) + 1)
-                stretched[::m] = [scale * c for c in p]
-                traces[Partition(tuple(part * m for part in lam))] = tuple(stretched)
-        return SymSeries._make(n, {0: traces}, self._den)
+        return self._stretched(
+            m, lambda lam: (Partition(tuple(part * m for part in lam)), m ** len(lam))
+        )
 
     def plethysm(self, g: "SymSeries") -> "SymSeries":
         """Plethystic composition f[g].
@@ -679,62 +736,23 @@ class SymSeries:
         return cls(data["max_degree"], terms)
 
 
-class AltSeries:
-    """A power series in one variable t with MotiveClass coefficients.
+class AltSeries(TruncatedSeries):
+    """A power series in one variable t, the image of the alternating functional.
 
-    Used for images of the alternating functional; degree 0 is allowed
-    but every series arising here starts at t^1.
+    Keyed by the degree n with weight 1, so [t^n] has the channel
+    polynomials ``_traces[channel][n]`` over D.  Degree 0 is allowed but
+    every series arising here starts at t^1.
     """
 
-    __slots__ = ("max_degree", "_coeffs")
+    __slots__ = ()
     _UNIT_KEY = 0
-
-    def __init__(self, max_degree: int, coeffs=None):
-        if max_degree < 0:
-            raise ValueError("max_degree must be nonnegative")
-        clean: dict[int, MotiveClass] = {}
-        for n, c in (coeffs or {}).items():
-            n = int(n)
-            if n < 0 or n > max_degree:
-                raise ValueError(f"coefficient degree {n} out of range")
-            c = _coerce_coeff(c)
-            if not c.is_zero():
-                clean[n] = c
-        object.__setattr__(self, "max_degree", max_degree)
-        object.__setattr__(self, "_coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AltSeries is immutable")
+    _key = _size = _sort_key = int
+    _weight = staticmethod(lambda n: 1)
 
     def coefficient(self, n: int) -> MotiveClass:
         if n > self.max_degree:
             raise ValueError(f"degree {n} beyond truncation {self.max_degree}")
-        return self._coeffs.get(n, MotiveClass.zero())
-
-    def items(self):
-        return tuple(sorted(self._coeffs.items()))
-
-    def degree_terms(self, n: int) -> dict[int, MotiveClass]:
-        return {n: self._coeffs[n]} if n in self._coeffs else {}
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def constant_term(self) -> MotiveClass:
-        return self.coefficient(0)
-
-    def homogeneous(self, n: int) -> "AltSeries":
-        """The degree-n part, at the same truncation."""
-        return AltSeries(self.max_degree, self.degree_terms(n))
-
-    def truncate(self, new_max: int) -> "AltSeries":
-        if new_max > self.max_degree:
-            raise ValueError("cannot truncate upwards")
-        return AltSeries(new_max, {n: c for n, c in self._coeffs.items() if n <= new_max})
-
-    def scaled(self, c) -> "AltSeries":
-        """Each coefficient times c, an int, Fraction or MotiveClass."""
-        return AltSeries(self.max_degree, {n: v * c for n, v in self._coeffs.items()})
+        return super().coefficient(n)
 
     def adams(self, m: int) -> "AltSeries":
         """Alt(p_m o g) from Alt(g) for a Tate-only g.
@@ -743,63 +761,22 @@ class AltSeries:
         degree-d part of Alt(g) moves to degree d*m with the sign
         (-1)^((m-1)d), and its coefficient takes the m-th Adams operation.
         """
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        return AltSeries(
-            self.max_degree,
-            {
-                n * m: c.adams(m) * (-1) ** ((m - 1) * n)
-                for n, c in self._coeffs.items()
-                if n * m <= self.max_degree
-            },
-        )
+        return self._stretched(m, lambda d: (d * m, (-1) ** ((m - 1) * d)))
 
-    def __add__(self, other):
-        if not isinstance(other, AltSeries):
-            return NotImplemented
-        if self.max_degree != other.max_degree:
-            raise ValueError("truncation degrees differ")
-        coeffs = dict(self._coeffs)
-        for n, c in other._coeffs.items():
-            prev = coeffs.get(n)
-            coeffs[n] = c if prev is None else prev + c
-        return AltSeries(self.max_degree, coeffs)
-
-    def __neg__(self):
-        return AltSeries(self.max_degree, {n: -c for n, c in self._coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, AltSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, AltSeries):
-            return NotImplemented
-        if self.max_degree != other.max_degree:
-            raise ValueError("truncation degrees differ")
-        coeffs: dict[int, MotiveClass] = {}
-        for n1, c1 in self._coeffs.items():
-            for n2, c2 in other._coeffs.items():
-                n = n1 + n2
-                if n > self.max_degree:
-                    continue
-                c = c1 * c2
-                prev = coeffs.get(n)
-                coeffs[n] = c if prev is None else prev + c
-        return AltSeries(self.max_degree, coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, AltSeries):
-            return NotImplemented
-        return self.max_degree == other.max_degree and self._coeffs == other._coeffs
-
-    __hash__ = None
+    @staticmethod
+    def _channel_product(a: dict, b: dict, n: int) -> dict:
+        """The product of two channels: [t^d] sums a_i b_(d - i), for d <= n."""
+        sums: dict[int, list] = {}
+        for i, p in a.items():
+            for j, q in b.items():
+                if i + j <= n:
+                    sums.setdefault(i + j, []).append((1, _poly_mul(p, q)))
+        return {d: _lincomb(ps) for d, ps in sums.items()}
 
     def __repr__(self):
-        if not self._coeffs:
+        if not self._traces:
             return f"AltSeries(<= {self.max_degree}; 0)"
-        bits = [f"({c!r})*t^{n}" for n, c in sorted(self._coeffs.items())]
+        bits = [f"({c!r})*t^{n}" for n, c in self.items()]
         return f"AltSeries(<= {self.max_degree}; " + " + ".join(bits) + ")"
 
     def to_json(self) -> dict:
@@ -850,7 +827,7 @@ def schur(lam, max_degree: int) -> SymSeries:
 # -- series functions ------------------------------------------------------
 
 
-def _degree_recurrence(g: SymSeries | AltSeries, x0, lead: int) -> list:
+def _degree_recurrence(g: TruncatedSeries, x0, lead: int) -> list:
     """[x_0, ..., x_N] with x_n = lead * n * g_n + sum_{k=1..n} g_k x_(n-k).
 
     g must have zero constant term.  Its homogeneous parts g_n are split
@@ -869,7 +846,7 @@ def _degree_recurrence(g: SymSeries | AltSeries, x0, lead: int) -> list:
     return x
 
 
-def log_one_minus(g: SymSeries | AltSeries) -> SymSeries | AltSeries:
+def log_one_minus(g: TruncatedSeries) -> TruncatedSeries:
     """log(1 - g) for g with zero constant term, one degree at a time.
 
     With E the Euler derivation (the degree-n part times n),
@@ -884,7 +861,7 @@ def log_one_minus(g: SymSeries | AltSeries) -> SymSeries | AltSeries:
     return total
 
 
-def geometric(g: SymSeries | AltSeries) -> SymSeries | AltSeries:
+def geometric(g: TruncatedSeries) -> TruncatedSeries:
     """1/(1 - g) for g with zero constant term: G_0 = 1 and
     G_n = sum_{k=1..n} g_k G_(n-k), one degree at a time."""
     geo = _degree_recurrence(g, type(g)(g.max_degree, {g._UNIT_KEY: 1}), 0)

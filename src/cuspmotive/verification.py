@@ -71,7 +71,7 @@ def check_alt_a0pp(max_degree: int = 14) -> CheckResult:
                     series.coefficient(n) == _rational((-1) ** (n - 1)),
                     f"{route}: coefficient t^{n} of Alt(a0'') is {series.coefficient(n)!r}",
                 )
-        return f"t/(1+t) through t^{max_degree}, fused layers through t^{pipeline.MAX_POINTS}"
+        return f"t/(1+t) through t^{max_degree}, product formula through t^{pipeline.MAX_POINTS}"
 
     return _run("alt-a0pp", body)
 
@@ -105,7 +105,10 @@ def check_alt_a0dot(max_degree: int = 14) -> CheckResult:
                     series.coefficient(n) == _rational(Fraction(1, 2)),
                     f"{route}: coefficient t^{n} is {series.coefficient(n)!r}",
                 )
-        return f"(1/2) t/(1-t) through t^{max_degree}, fused layers through t^{pipeline.MAX_POINTS}"
+        return (
+            f"(1/2) t/(1-t) through t^{max_degree}, "
+            f"product formula through t^{pipeline.MAX_POINTS}"
+        )
 
     return _run("alt-a0dot", body)
 

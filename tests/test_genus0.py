@@ -122,7 +122,12 @@ def test_product_route_matches_signed_walk():
     got = genus0.a0_alt_derivatives(n_max)
     assert got == signed_walk.alt_derivatives(n_max)
     for n in range(1, n_max + 1):
-        assert genus0._alt_derivative_layer(n) == signed_walk.alt_derivative_layer(n), n
+        layer = genus0._alt_derivative_layer(n)  # Alt(a0'), Alt(a0''), 2 Alt(a0dot) in Z[q]
+        got_n = tuple(
+            MotiveClass(tate=dict(enumerate(p))) * Fraction(1, den)
+            for p, den in zip(layer, (1, 1, 2))
+        )
+        assert got_n == signed_walk.alt_derivative_layer(n), n
 
 
 def test_product_route_rational_function_identities():

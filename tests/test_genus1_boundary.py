@@ -113,6 +113,19 @@ def test_boundary_alt_solves_once_per_doubling(monkeypatch):
     assert solves == [2, 4, 8, 16, pipeline.MAX_POINTS, pipeline.MAX_POINTS + 1, pipeline.MAX_POINTS + 2]
 
 
+def test_boundary_solve_runs_no_motive_class_arithmetic(monkeypatch):
+    """From the product layers to the solved series, all arithmetic is on integers."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the boundary solve ran MotiveClass arithmetic")
+
+    genus0._alt_derivative_layer.cache_clear()
+    genus0._alt_product_layer.cache_clear()
+    closed_form = sf.AltSeries(20, {n: 1 for n in range(1, 21, 2)})  # t/(1 - t^2)
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__neg__", "adams"):
+        monkeypatch.setattr(MotiveClass, name, refuse)
+    assert bdry.boundary_alt_from(*genus0.a0_alt_derivatives(20)) == closed_form
+
+
 def test_boundary_alt_from_rejects_nonzero_alt_of_a0_first_derivative():
     n = 6
     routes = [

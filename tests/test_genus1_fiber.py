@@ -282,29 +282,34 @@ def test_ec_open_stratum_alternating_parts():
     for n in range(1, 6):
         ec = fib.ec_open_stratum(n)
         assert ec.alternating_parts() == {(n - 1, 0): (-1) ** (n - 1)}
-        assert ec.alternating_parts(ec.sym_multiplicities()) == ec.alternating_parts()
+        assert ec.sym_multiplicities is ec.sym_multiplicities
 
 
 def test_open_stratum_json_computes_sym_multiplicities_once(capsys, monkeypatch):
     calls = []
-    computed = fib.EquivariantClass.sym_multiplicities
+    prop = fib.EquivariantClass.sym_multiplicities
+    computed = prop.func
 
     def counted(self):
         calls.append(self.n)
         return computed(self)
 
-    monkeypatch.setattr(fib.EquivariantClass, "sym_multiplicities", counted)
+    monkeypatch.setattr(prop, "func", counted)
     for n in (1, 3, 5):
         calls.clear()
         assert cli.main(["open-stratum", "-n", str(n), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["result"]["alternating"] == [[n - 1, 0, (-1) ** (n - 1)]]
         assert calls == [n]
+        calls.clear()
+        assert cli.main(["open-stratum", "-n", str(n)]) == 0
+        assert f"({n - 1}, 0): {(-1) ** (n - 1)}" in capsys.readouterr().out
+        assert calls == [n]
 
 
 def test_sym_multiplicities_two_points():
     ec = fib.ec_open_stratum(2)
-    mults = ec.sym_multiplicities()
+    mults = ec.sym_multiplicities
     assert mults == {
         (0, 1): {P(1, 1): 1, P(2): 1},
         (1, 0): {P(1, 1): -1, P(2): 1},

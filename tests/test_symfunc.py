@@ -10,7 +10,7 @@ import pytest
 from cuspmotive import genus0, symfunc as sf
 from cuspmotive.combinatorics import Partition, partitions_of, z_of
 from cuspmotive.motive import L, ONE, MotiveClass, UnsupportedCuspOperation
-from cuspmotive.verification import _random_series
+from cuspmotive.verification import _random_motive, _random_series
 
 
 def P(*parts):
@@ -231,6 +231,57 @@ def test_alt_series_ops():
         a + sf.power_sum(1, 5).alt()
 
 
+def _random_alt(rng, max_degree, allow_cusp=True):
+    coeffs = {
+        n: _random_motive(rng, allow_cusp) for n in range(max_degree + 1) if rng.random() < 0.7
+    }
+    return sf.AltSeries(max_degree, coeffs), coeffs
+
+
+def test_alt_series_normal_form_against_motive_class():
+    """Sums, scalings, products and psi_m of the integer channels agree with
+    the same operations done coefficient by coefficient in MotiveClass."""
+    rng = random.Random(13)
+    zero = MotiveClass.zero()
+    for _ in range(60):
+        n = rng.randint(0, 8)
+        (a, ca), (b, cb) = _random_alt(rng, n), _random_alt(rng, n)
+        assert (a + b) - b == a
+        p, q = rng.choice([-5, -3, -1, 1, 2, 7]), rng.randint(1, 6)
+        assert a.scaled(Fraction(p, q)).scaled(Fraction(q, p)) == a
+        scaled = {d: c * Fraction(p, q) for d, c in ca.items()}
+        assert a.scaled(Fraction(p, q)) == sf.AltSeries(n, scaled)
+
+        def by_coefficients():
+            out = {}
+            for d in range(n + 1):
+                total = zero
+                for i in range(d + 1):
+                    total = total + ca.get(i, zero) * cb.get(d - i, zero)
+                out[d] = total
+            return out
+
+        want = _outcome(by_coefficients)
+        got = _outcome(lambda: a * b)
+        if isinstance(want, dict):
+            assert [got.coefficient(d) for d in range(n + 1)] == [want[d] for d in range(n + 1)]
+        else:
+            assert got is want is UnsupportedCuspOperation
+        for m in range(1, n + 2):
+            want = _outcome(
+                lambda: {
+                    d * m: c.adams(m) * (-1) ** ((m - 1) * d) for d, c in ca.items() if d * m <= n
+                }
+            )
+            got = _outcome(lambda: a.adams(m))
+            if isinstance(want, dict):
+                assert [got.coefficient(d) for d in range(n + 1)] == [
+                    want.get(d, zero) for d in range(n + 1)
+                ]
+            else:
+                assert got is want is UnsupportedCuspOperation
+
+
 def test_alt_series_adams():
     f = sf.AltSeries(9, {1: L, 2: ONE + L, 3: 2 * ONE})
     # degree d -> d*m, sign (-1)^((m-1)d), L -> L^m; beyond the truncation drops
@@ -268,9 +319,9 @@ def test_json_round_trips():
     assert alt_doc["max_degree"] == 4
 
 
-def _outcome(fn, g):
+def _outcome(fn, *args):
     try:
-        return fn(g)
+        return fn(*args)
     except UnsupportedCuspOperation as exc:
         return type(exc)
 

@@ -1,9 +1,10 @@
 """Command line entry points.
 
 Every subcommand prints human-readable text by default and a stable JSON
-document with ``--json``; ``--out FILE`` redirects either form to a file.
-Series commands share ``--max-degree`` (3 to 20); per-point commands
-take ``--points`` with the range the underlying computation supports.
+document with ``--json``, written as one compact key-sorted line;
+``--out FILE`` redirects either form to a file. Series commands share
+``--max-degree`` (3 to 20); per-point commands take ``--points`` with the
+range the underlying computation supports.
 """
 
 from __future__ import annotations
@@ -60,13 +61,12 @@ def _series_lines(series, basis: str = "power") -> list[str]:
 
 
 def _stratum_json(ec) -> dict:
-    bins = []
-    for (m, w) in sorted(ec.bins):
-        table = [[list(ct), v] for ct, v in sorted(ec.bins[(m, w)].items())]
-        bins.append([m, w, table])
-    sym = []
-    for (k, j), table in sorted(ec.sym_multiplicities.items()):
-        sym.append([k, j, [[list(ct), v] for ct, v in sorted(table.items())]])
+    # A cycle type is a tuple, so the encoder writes each (ct, v) pair as
+    # [[parts], v] without a copy.
+    bins = [[m, w, sorted(ec.bins[(m, w)].items())] for (m, w) in sorted(ec.bins)]
+    sym = [
+        [k, j, sorted(table.items())] for (k, j), table in sorted(ec.sym_multiplicities.items())
+    ]
     alt = [[m, w, c] for (m, w), c in sorted(ec.alternating_parts().items())]
     return {"points": ec.n, "bins": bins, "sym_multiplicities": sym, "alternating": alt}
 
@@ -84,7 +84,9 @@ def _emit(args, command: str, result, text_lines, max_degree=None) -> None:
             "max_degree": max_degree,
             "result": result,
         }
-        out = json.dumps(doc, indent=2, sort_keys=True)
+        # Compact separators keep the encoding in the C encoder; any indent
+        # falls back to the pure-Python one.
+        out = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     else:
         out = "\n".join(text_lines())
     if args.out:

@@ -307,6 +307,31 @@ def test_open_stratum_json_computes_sym_multiplicities_once(capsys, monkeypatch)
         assert calls == [n]
 
 
+def test_open_stratum_json_matches_list_construction(capsys):
+    """The document ``open-stratum --json`` writes, against one built
+    with an explicit list for every cycle type and every (ct, v) pair."""
+    for n in range(1, 8):
+        ec = fib.ec_open_stratum(n)
+        bins = [
+            [m, w, [[list(ct), v] for ct, v in sorted(ec.bins[(m, w)].items())]]
+            for (m, w) in sorted(ec.bins)
+        ]
+        sym = [
+            [k, j, [[list(ct), v] for ct, v in sorted(table.items())]]
+            for (k, j), table in sorted(ec.sym_multiplicities.items())
+        ]
+        alt = [[m, w, c] for (m, w), c in sorted(ec.alternating_parts().items())]
+        result = {"points": n, "bins": bins, "sym_multiplicities": sym, "alternating": alt}
+        expected = {
+            "schema_version": 1,
+            "command": "open-stratum",
+            "max_degree": None,
+            "result": result,
+        }
+        assert cli.main(["open-stratum", "-n", str(n), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == expected, n
+
+
 def test_sym_multiplicities_two_points():
     ec = fib.ec_open_stratum(2)
     mults = ec.sym_multiplicities

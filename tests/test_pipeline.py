@@ -212,4 +212,36 @@ def test_cli_json_bytes_match_fraction_oracle(tmp_path):
         out = tmp_path / f"{argv[0]}.json"
         assert cli.main([*argv, "--json", "--out", str(out)]) == 0
         doc = {"schema_version": 1, "command": argv[0], "max_degree": max_degree, "result": result}
-        assert out.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode(), argv
+        encoded = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        assert out.read_bytes() == encoded.encode(), argv
+
+
+def test_cli_json_stays_in_c_encoder(tmp_path, capsys, monkeypatch):
+    """Every ``--json`` document is encoded without the pure-Python
+    encoder, which any ``indent`` would select, and is one compact line."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("--json fell back to the pure-Python encoder")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    for argv in (
+        ["a0", "--max-degree", "4"],
+        ["b0prime", "--max-degree", "4"],
+        ["lie", "--max-degree", "5", "--signed"],
+        ["rows-check", "-n", "4"],
+        ["fiber", "-n", "3"],
+        ["open-stratum", "-n", "4"],
+        ["necklace", "--max-degree", "5"],
+        ["boundary", "--max-degree", "5"],
+        ["interior", "-n", "4"],
+        ["motive", "-n", "3"],
+    ):
+        assert cli.main(argv + ["--json"]) == 0, argv
+        text = capsys.readouterr().out
+        out = tmp_path / f"{argv[0]}.json"
+        assert cli.main(argv + ["--json", "--out", str(out)]) == 0, argv
+        assert out.read_bytes() == text.encode(), argv
+        assert text.endswith("\n") and text.count("\n") == 1, argv
+        doc = json.loads(text)
+        assert doc["command"] == argv[0] and doc["schema_version"] == 1
+        assert json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n" == text, argv

@@ -1,5 +1,9 @@
 """Partitions, symmetric-group characters, and set-partition lattices.
 
+Partitions of n are listed by the loop-free algorithm ZS1 (Zoghbi and
+Stojmenovic, "Fast algorithms for generating integer partitions", 1998),
+and chi^lam(mu) by Murnaghan-Nakayama on a bead bitmask of lam.
+
 Conventions used throughout the package:
 
 * partitions are weakly decreasing tuples of positive integers;
@@ -51,19 +55,32 @@ class Partition(tuple):
 
 @cache
 def partitions_of(n: int) -> tuple[Partition, ...]:
-    """All partitions of n, largest part first (reverse lexicographic)."""
+    """All partitions of n, largest part first (reverse lexicographic).
+
+    ZS1: x[:m] is the current partition, x[h] its last part above 1, and
+    every later entry of x is 1.  Each step lowers x[h] by one and refills
+    the parts after it greedily.  The results are weakly decreasing by
+    construction, so ``tuple.__new__`` builds them without validation.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-
-    def gen(remaining: int, max_part: int):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, max_part), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    return tuple(Partition(p) for p in gen(n, n))
+    new, x, m, h = tuple.__new__, [n] + [1] * n, min(n, 1), 0
+    out = [new(Partition, x[:m])]
+    while x[0] > 1:
+        if x[h] == 2:
+            x[h], m, h = 1, m + 1, h - 1
+        else:
+            r, t = x[h] - 1, m - h
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h], t = r, t - r
+            m = h + 1 + (t > 0)
+            if t > 1:
+                h += 1
+                x[h] = t
+        out.append(new(Partition, x[:m]))
+    return tuple(out)
 
 
 def z_of(lam) -> int:
@@ -127,34 +144,51 @@ def divisors(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Irreducible characters of the symmetric group.
 #
-# Murnaghan-Nakayama in beta-set form: removing a border strip of length k
-# from lam corresponds to lowering one first-column hook length by k, and the
-# height of the strip is the number of hook lengths jumped over.
+# Murnaghan-Nakayama on a bead bitmask: lam with l parts has a bead at each
+# first-column hook length lam_i + l - i.  Removing a border strip of length
+# k moves a bead from b to an empty b - k, so the targets are
+# (mask >> k) & ~mask, and the strip's height is the bit_count of the beads
+# jumped over.  A bead at 0 is a zero part: masks shift off their trailing
+# filled positions.  Values below the top call are memoised by (mask, parts
+# left); the memo starts over past _STRIP_MEMO_LIMIT entries, more than the
+# whole table at n = 20 needs.
+
+_STRIP_MEMO: dict[tuple[int, tuple[int, ...]], int] = {}
+_STRIP_MEMO_LIMIT = 1 << 17
 
 
 @cache
+def _beads(lam: Partition) -> int:
+    return sum(1 << (part + len(lam) - 1 - i) for i, part in enumerate(lam))
+
+
+def _strip_sum(mask: int, parts: tuple[int, ...]) -> int:
+    """chi on the class ``parts`` of the partition with beads ``mask``."""
+    if not parts:
+        return 1
+    k, rest, total = parts[0], parts[1:], 0
+    targets = (mask >> k) & ~mask
+    while targets:
+        low = targets & -targets
+        targets ^= low
+        moved = mask ^ (low | low << k)
+        moved >>= (~moved & (moved + 1)).bit_length() - 1
+        value = _STRIP_MEMO.get((moved, rest))
+        if value is None:
+            value = _STRIP_MEMO[moved, rest] = _strip_sum(moved, rest)
+        height = (mask >> low.bit_length() & ((1 << (k - 1)) - 1)).bit_count()
+        total += -value if height & 1 else value
+    return total
+
+
 def character(lam, mu) -> int:
     """Value of the irreducible character chi^lam on the class mu."""
     lam, mu = Partition(lam), Partition(mu)
-    if lam.size != mu.size:
+    if sum(lam) != sum(mu):
         raise ValueError("partition sizes differ")
-    if not mu:
-        return 1
-    k, rest = mu[0], Partition(mu[1:])
-    beta = [lam[i] + (len(lam) - 1 - i) for i in range(len(lam))]
-    beta_set = set(beta)
-    total = 0
-    for b in beta:
-        b2 = b - k
-        if b2 < 0 or b2 in beta_set:
-            continue
-        height = sum(1 for c in beta if b2 < c < b)
-        new_beta = sorted((beta_set - {b}) | {b2}, reverse=True)
-        new_lam = tuple(c - (len(new_beta) - 1 - i) for i, c in enumerate(new_beta))
-        while new_lam and new_lam[-1] == 0:
-            new_lam = new_lam[:-1]
-        total += (-1) ** height * character(Partition(new_lam), rest)
-    return total
+    if len(_STRIP_MEMO) > _STRIP_MEMO_LIMIT:
+        _STRIP_MEMO.clear()
+    return _strip_sum(_beads(lam), mu)
 
 
 def character_dimension(lam) -> int:
@@ -235,18 +269,6 @@ def set_partitions_of(n: int) -> tuple[SetPartition, ...]:
     return tuple(SetPartition(p) for p in parts)
 
 
-def lattice_mobius(p: SetPartition) -> int:
-    """Moebius value mu(0, p) in the full partition lattice.
-
-    For the lattice of set partitions ordered by refinement this is the
-    product over blocks B of (-1)^(|B|-1) (|B|-1)!.
-    """
-    result = 1
-    for b in p:
-        result *= (-1) ** (len(b) - 1) * math.factorial(len(b) - 1)
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Permutations.
 
@@ -302,36 +324,3 @@ def stable_set_partitions(perm: tuple[int, ...]):
         pi = tuple(index[tuple(sorted(perm[x - 1] for x in b))] for b in p)
         out.append((p, pi))
     return out
-
-
-def stable_poset_mobius(stable: list[SetPartition]) -> dict[SetPartition, int]:
-    """mu(0, p) inside the sub-poset formed by the given partitions.
-
-    The input must contain the finest partition (all singletons) and be
-    closed enough to contain every element below any of its members that
-    lies in the sub-poset; for the fixed-point sets used here that is
-    automatic.  Computed by the defining recursion, so it agrees with
-    lattice_mobius only when the sub-poset is the whole lattice.
-    """
-    order = sorted(stable, key=lambda p: -p.block_count)
-    finest = order[0]
-    if finest.block_count != finest.ground_size:
-        raise ValueError("finest partition missing from the poset")
-    mob: dict[SetPartition, int] = {}
-    for p in order:
-        if p == finest:
-            mob[p] = 1
-            continue
-        mob[p] = -sum(mob[q] for q in order if q != p and q in mob and q.refines(p))
-    return mob
-
-
-def bell_number(n: int) -> int:
-    """Bell number via the triangle recurrence (used as a test oracle too)."""
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[0]

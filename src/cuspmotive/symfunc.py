@@ -246,11 +246,6 @@ def _fraction_text(c: int, d: int) -> str:
     return f"{c // g}/{d // g}"
 
 
-def _order(lam) -> tuple:
-    """Sort key: by size, then in the order of ``partitions_of``."""
-    return sum(lam), tuple(-part for part in lam)
-
-
 class TruncatedSeries:
     """A series truncated above ``max_degree``, stored by integer channels.
 
@@ -259,8 +254,8 @@ class TruncatedSeries:
     part and channel j the coefficient of S[j], over one positive integer
     denominator D per series, coprime to the content of the traces.  A
     subclass fixes the keys through ``_key`` (a key from its input form),
-    ``_size`` (its degree), ``_weight`` and ``_sort_key``, names the key of
-    the unit ``_UNIT_KEY`` and multiplies two channels in ``_channel_product``.
+    ``_size`` (its degree) and ``_weight``, names the key of the unit
+    ``_UNIT_KEY`` and multiplies two channels in ``_channel_product``.
     """
 
     __slots__ = ("max_degree", "_traces", "_den")
@@ -324,10 +319,7 @@ class TruncatedSeries:
     # -- inspection ---------------------------------------------------
 
     def _keys(self) -> list:
-        keys = set()
-        for channel in self._traces.values():
-            keys.update(channel)
-        return sorted(keys, key=self._sort_key)
+        return sorted(set().union(*self._traces.values()))
 
     def coefficient(self, key) -> MotiveClass:
         key = self._key(key)
@@ -475,7 +467,6 @@ class SymSeries(TruncatedSeries):
     _key = Partition
     _size = staticmethod(sum)
     _weight = staticmethod(_z)
-    _sort_key = staticmethod(_order)
     _channel_product = staticmethod(_trace_product)
 
     # Bound in this class's own dict too: perfbench/tracing.py wraps them in vars(SymSeries).
@@ -504,6 +495,12 @@ class SymSeries(TruncatedSeries):
         if new_max < self.max_degree:
             raise ValueError("use truncate to lower the degree")
         return SymSeries._make(new_max, self._traces, self._den)
+
+    def _keys(self) -> list:
+        """By size, each size in the order of ``partitions_of``."""
+        keys = set().union(*self._traces.values())
+        sizes = sorted({sum(lam) for lam in keys})
+        return [lam for n in sizes for lam in partitions_of(n) if lam in keys]
 
     def __repr__(self):
         if not self._traces:
@@ -746,7 +743,7 @@ class AltSeries(TruncatedSeries):
 
     __slots__ = ()
     _UNIT_KEY = 0
-    _key = _size = _sort_key = int
+    _key = _size = int
     _weight = staticmethod(lambda n: 1)
 
     def coefficient(self, n: int) -> MotiveClass:

@@ -268,8 +268,10 @@ def check_row_bounds(n_max: int = 8) -> CheckResult:
 # x has order exactly p^k - 1 when x^(p^k - 1) = 1 and x^((p^k - 1)/r) != 1
 # for each prime r dividing p^k - 1; its p^k - 1 distinct powers are then
 # units, so with zero they exhaust the ring and f is irreducible as well
-# as primitive.  Frobenius then acts on exponents by multiplication, so
-# orbit bookkeeping never touches polynomials.
+# as primitive.  The squares x^(2^j) are built once per candidate f and
+# shared by x^(p^k - 1) and every x^((p^k - 1)/r).  Frobenius then acts on
+# exponents by multiplication, so orbit bookkeeping never touches
+# polynomials; the points of each (p, e, d) are listed once and cached.
 
 # Fields F_(p^e) for the brute-force counts, and the degrees counted.
 ORACLE_FIELDS = ((2, 1), (3, 1), (5, 1), (2, 2))
@@ -292,17 +294,6 @@ def _mulmod(a, b, p: int, tail) -> tuple[int, ...]:
     return tuple(c % p for c in prod[:k])
 
 
-def _x_power(e: int, p: int, tail) -> tuple[int, ...]:
-    """x^e in F_p[x]/(f) by square-and-multiply."""
-    result, base = _mulmod((1,), (1,), p, tail), _mulmod((0, 1), (1,), p, tail)
-    while e:
-        if e & 1:
-            result = _mulmod(result, base, p, tail)
-        base = _mulmod(base, base, p, tail)
-        e >>= 1
-    return result
-
-
 def _prime_factors(m: int) -> list[int]:
     out, r = [], 2
     while r * r <= m:
@@ -320,9 +311,20 @@ def _is_primitive(p: int, tail) -> bool:
     """Whether x has multiplicative order exactly p^k - 1 modulo
     f = x^k + sum_i tail[i] x^i over F_p."""
     order = p ** len(tail) - 1
-    one = _x_power(0, p, tail)
-    return _x_power(order, p, tail) == one and all(
-        _x_power(order // r, p, tail) != one for r in _prime_factors(order)
+    one = _mulmod((1,), (1,), p, tail)
+    squares = [_mulmod((0, 1), (1,), p, tail)]
+    for _ in range(order.bit_length() - 1):
+        squares.append(_mulmod(squares[-1], squares[-1], p, tail))
+
+    def x_power(e: int) -> tuple[int, ...]:
+        result = one
+        for j in range(e.bit_length()):
+            if e >> j & 1:
+                result = _mulmod(result, squares[j], p, tail)
+        return result
+
+    return x_power(order) == one and all(
+        x_power(order // r) != one for r in _prime_factors(order)
     )
 
 
@@ -347,30 +349,33 @@ def _field_modulus(p: int, k: int) -> tuple[int, ...]:
     raise RuntimeError(f"no generator found for GF({p}^{k})")
 
 
+@cache
 def _exact_degree_point_ids(p: int, e: int, d: int):
     """Exact-degree-d points of P^1 over F_(p^e), inside GF(p^(e*d)).
 
     Returns (points, orbit_id_of_point): nonzero field elements are
     labelled by their discrete logarithm; zero and infinity only appear
     for d = 1.  A primitive modulus certifies the field exists; orbits of
-    Frobenius x -> x^q are index orbits under multiplication by q.
+    Frobenius x -> x^q are index orbits under multiplication by q, each
+    walked once and named by its least index.
     """
     _field_modulus(p, e * d)
     q = p**e
     order = p ** (e * d) - 1
-    pts = []
+    orbit_of = [None] * order
     for i in range(order):
-        s, j = 1, (i * q) % order
-        while j != i and s <= d:
-            j = (j * q) % order
-            s += 1
-        if s == d:
-            oid = min((i * pow(q, t, order)) % order for t in range(d))
-            pts.append((("e", i), ("o", oid)))
+        if orbit_of[i] is None:
+            orbit, j = [i], (i * q) % order
+            while j != i:
+                orbit.append(j)
+                j = (j * q) % order
+            for j in orbit:
+                orbit_of[j] = (("o", i), len(orbit))
+    pts = [(("e", i), oid) for i, (oid, size) in enumerate(orbit_of) if size == d]
     if d == 1:
         pts.append((("zero",), ("zero",)))
         pts.append((("inf",), ("inf",)))
-    return pts
+    return tuple(pts)
 
 
 def twisted_config_count(lam, p: int, e: int) -> int:

@@ -7,7 +7,9 @@ by x, one shift-and-reduce at a time, through every power, and accepts f
 only when it sees p^k - 1 distinct nonzero powers before returning to 1.
 
 A modulus is given by its low coefficients ``tail``, so that
-f = x^k + sum_i tail[i] x^i.
+f = x^k + sum_i tail[i] x^i.  The points of exact degree d over F_(p^e)
+are listed by stepping Frobenius from each discrete logarithm in turn,
+where the package walks each orbit once.
 """
 
 from __future__ import annotations
@@ -46,3 +48,23 @@ def first_primitive_modulus(p: int, k: int) -> tuple[int, ...]:
         if tail[0] and exponent_table(p, tail) is not None:
             return tail
     raise RuntimeError(f"no generator found for GF({p}^{k})")
+
+
+def frobenius_point_ids(p: int, e: int, d: int):
+    """(point, orbit id) pairs as ``verification._exact_degree_point_ids``
+    lists them: for each index i of GF(p^(e*d))^*, the orbit size by
+    stepping i -> i q, and the least index over d steps as the orbit id."""
+    q = p**e
+    order = p ** (e * d) - 1
+    pts = []
+    for i in range(order):
+        s, j = 1, (i * q) % order
+        while j != i and s <= d:
+            j = (j * q) % order
+            s += 1
+        if s == d:
+            oid = min((i * pow(q, t, order)) % order for t in range(d))
+            pts.append((("e", i), ("o", oid)))
+    if d == 1:
+        pts += [(("zero",), ("zero",)), (("inf",), ("inf",))]
+    return pts

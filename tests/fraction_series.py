@@ -8,10 +8,11 @@ partition and runs every operation on those coefficients directly, the
 product by multiplying out every pair of terms, the plethysm by
 multiplying out p_lam o g = prod_i psi_(lam_i)(g), the derivative by the
 multiplicity of the part and the Schur expansion by the character
-table.  ``log_one_minus`` and ``geometric`` come from the power chain of
-``tests/power_chain.py``.  On top of these sit the oracle routes to a0,
-b0', the Lie series, the boundary series and the Schur tables of the
-open configuration spaces.
+recursion of ``tests/character_oracle.py``, whose recursive partition
+generator also orders every table here.  ``log_one_minus`` and
+``geometric`` come from the power chain of ``tests/power_chain.py``.  On
+top of these sit the oracle routes to a0, b0', the Lie series, the
+boundary series and the Schur tables of the open configuration spaces.
 """
 
 from __future__ import annotations
@@ -21,15 +22,14 @@ from functools import cache
 
 import fraction_counts
 import power_chain
+from character_oracle import character, partitions_of
 
 from cuspmotive import symfunc as sf
 from cuspmotive.combinatorics import (
     Partition,
-    character,
     class_sign,
     euler_phi,
     moebius,
-    partitions_of,
     z_of,
 )
 from cuspmotive.motive import MotiveClass, UnsupportedCuspOperation

@@ -1,26 +1,26 @@
 import math
 
+import character_oracle as oracle
 import pytest
 from fiber_words import compose_perms, identity_perm
+from stratum_mobius import bell_number, lattice_mobius, stable_poset_mobius
 
+from cuspmotive import combinatorics
 from cuspmotive.combinatorics import (
     MAX_SET_PARTITION_GROUND,
     Partition,
     SetPartition,
     apply_perm_to_set_partition,
-    bell_number,
     character,
     character_dimension,
     class_sign,
     cycle_type,
     divisors,
     euler_phi,
-    lattice_mobius,
     moebius,
     partitions_of,
     perm_from_cycle_type,
     set_partitions_of,
-    stable_poset_mobius,
     stable_set_partitions,
     z_of,
 )
@@ -79,6 +79,13 @@ def test_partitions_are_ordered_and_distinct():
         assert all(lam.size == n for lam in parts)
 
 
+def test_partitions_match_recursive_oracle():
+    for n in range(26):
+        parts = partitions_of(n)
+        assert parts == oracle.partitions_of(n), n
+        assert all(type(lam) is Partition for lam in parts), n
+
+
 def test_z_and_class_size():
     assert z_of(Partition((2, 2, 1))) == 8
     assert z_of(Partition((3, 1))) == 3
@@ -129,12 +136,33 @@ def test_character_dimension_hook_lengths():
 
 
 def test_character_table_column_orthogonality():
-    for n in range(2, 7):
+    for n in (*range(2, 7), 14):
         parts = partitions_of(n)
+        columns = [[character(lam, mu) for lam in parts] for mu in parts]
+        for i, mu in enumerate(parts):
+            for j in range(i, len(parts)):
+                dot = sum(map(int.__mul__, columns[i], columns[j]))
+                assert dot == (z_of(mu) if i == j else 0), (mu, parts[j])
+
+
+def test_character_matches_recursive_oracle():
+    for n in range(13):
+        parts = partitions_of(n)
+        for lam in parts:
+            for mu in parts:
+                assert character(lam, mu) == oracle.character(lam, mu), (lam, mu)
+
+
+def test_character_memo_starts_over_past_its_limit(monkeypatch):
+    monkeypatch.setattr(combinatorics, "_STRIP_MEMO_LIMIT", 8)
+    combinatorics._STRIP_MEMO.clear()
+    parts, sizes = partitions_of(9), []
+    for lam in parts:
         for mu in parts:
-            for nu in parts:
-                dot = sum(character(lam, mu) * character(lam, nu) for lam in parts)
-                assert dot == (z_of(mu) if mu == nu else 0)
+            assert character(lam, mu) == oracle.character(lam, mu), (lam, mu)
+            sizes.append(len(combinatorics._STRIP_MEMO))
+    combinatorics._STRIP_MEMO.clear()
+    assert any(b < a for a, b in zip(sizes, sizes[1:])), "the memo never started over"
 
 
 def test_set_partitions():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -214,6 +215,18 @@ def test_cli_json_bytes_match_fraction_oracle(tmp_path):
         doc = {"schema_version": 1, "command": argv[0], "max_degree": max_degree, "result": result}
         encoded = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
         assert out.read_bytes() == encoded.encode(), argv
+
+
+def test_cli_a0_json_bytes_at_degree_20_are_pinned(tmp_path):
+    """The 601,430-byte ``a0 --max-degree 20 --json`` document, whose 2,710
+    terms follow the series' key order, is unchanged byte for byte."""
+    out = tmp_path / "a0.json"
+    assert cli.main(["a0", "--max-degree", "20", "--json", "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert len(data) == 601430
+    assert hashlib.sha256(data).hexdigest() == (
+        "66e495c22677998d26d37aae229164c4cb89506e0e2967f382dcafef32626ded"
+    )
 
 
 def test_cli_json_stays_in_c_encoder(tmp_path, capsys, monkeypatch):

@@ -208,6 +208,26 @@ def test_to_schur_round_trip():
             assert table == {lam: ONE}
 
 
+def test_keys_keep_the_size_then_reverse_lexicographic_order():
+    """Keys come out by size, then in reverse lexicographic order, as the
+    sort key (size, negated parts) orders them."""
+
+    def sort_key(lam):
+        return sum(lam), tuple(-part for part in lam)
+
+    a0 = genus0.a0_series(20)
+    keys = a0._keys()
+    assert len(keys) == 2710 and keys == sorted(keys, key=sort_key)
+    rng = random.Random(15)
+    for _ in range(40):
+        f = _random_series(rng, rng.randint(0, 9), allow_cusp=True)
+        g = f * _random_series(rng, f.max_degree)
+        for series in (f, g):
+            keys = series._keys()
+            assert keys == sorted(set().union(*series._traces.values()), key=sort_key)
+            assert all(type(lam) is Partition for lam in keys)
+
+
 def test_log_geometric_inverse():
     g = sf.complete(1, 6) + sf.complete(2, 6)
     geo = sf.geometric(g)

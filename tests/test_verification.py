@@ -3,6 +3,7 @@ from itertools import product
 import field_tables as ft
 
 from cuspmotive import genus0, symfunc as sf, verification
+from cuspmotive.combinatorics import partitions_of
 
 
 def _oracle_fields():
@@ -31,11 +32,39 @@ def test_certificate_rejects_non_primitive_moduli():
     assert not verification._is_primitive(5, (1, 0))
     # f(0) = 0 makes x a zero divisor
     assert not verification._is_primitive(3, (0, 1))
-    for p, k in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)):
+    for p, k in (
+        (2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
+        (3, 1), (3, 2), (3, 3), (3, 4),
+        (5, 1), (5, 2), (5, 3),
+    ):
         for tail in product(range(p), repeat=k):
             assert verification._is_primitive(p, tail) == (
                 ft.exponent_table(p, tail) is not None
             ), (p, tail)
+
+
+def _oracle_point_sets():
+    """Every (p, e, d) whose points the secondary oracle counts."""
+    return [
+        (p, e, d)
+        for p, e in verification.ORACLE_FIELDS
+        for d in range(1, max(verification.ORACLE_DEGREES) + 1)
+    ]
+
+
+def test_point_ids_match_frobenius_stepping():
+    for p, e, d in _oracle_point_sets():
+        got = verification._exact_degree_point_ids(p, e, d)
+        assert got == tuple(ft.frobenius_point_ids(p, e, d)), (p, e, d)
+
+
+def test_point_lists_are_built_once_per_field_and_degree():
+    verification._exact_degree_point_ids.cache_clear()
+    for n in verification.ORACLE_DEGREES:
+        for lam in partitions_of(n):
+            for p, e in verification.ORACLE_FIELDS:
+                verification.twisted_config_count(lam, p, e)
+    assert verification._exact_degree_point_ids.cache_info().misses == len(_oracle_point_sets())
 
 
 def test_composition_invariance_rejects_perturbed_b0_prime(monkeypatch):

@@ -16,24 +16,16 @@ import sys
 from . import genus0, genus1_boundary, genus1_fiber, pipeline, verification
 
 
-def _max_degree_arg(value: str) -> int:
-    try:
-        n = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError("max degree must be an integer")
-    if not 3 <= n <= 20:
-        raise argparse.ArgumentTypeError("max degree must be between 3 and 20")
-    return n
+def _int_between(what: str, lo: int, hi: int):
+    """An argparse type: an integer from lo to hi, called ``what`` in errors."""
 
-
-def _points_arg(lo: int, hi: int):
     def parse(value: str) -> int:
         try:
             n = int(value)
         except ValueError:
-            raise argparse.ArgumentTypeError("points must be an integer")
+            raise argparse.ArgumentTypeError(f"{what} must be an integer")
         if not lo <= n <= hi:
-            raise argparse.ArgumentTypeError(f"points must be between {lo} and {hi}")
+            raise argparse.ArgumentTypeError(f"{what} must be between {lo} and {hi}")
         return n
 
     return parse
@@ -67,7 +59,7 @@ def _stratum_json(ec) -> dict:
     sym = [
         [k, j, sorted(table.items())] for (k, j), table in sorted(ec.sym_multiplicities.items())
     ]
-    alt = [[m, w, c] for (m, w), c in sorted(ec.alternating_parts().items())]
+    alt = [[k, j, c] for (k, j), c in sorted(ec.alternating_parts().items())]
     return {"points": ec.n, "bins": bins, "sym_multiplicities": sym, "alternating": alt}
 
 
@@ -100,17 +92,10 @@ def _emit(args, command: str, result, text_lines, max_degree=None) -> None:
 # Subcommand bodies.
 
 
-def _cmd_a0(args) -> int:
-    series = genus0.a0_series(args.max_degree)
+def _cmd_series(args) -> int:
+    series = args.series(args.max_degree)
     result = series.to_json(basis=args.basis)
-    _emit(args, "a0", result, lambda: _series_lines(series, args.basis), args.max_degree)
-    return 0
-
-
-def _cmd_b0prime(args) -> int:
-    series = genus0.b0_prime(args.max_degree)
-    result = series.to_json(basis=args.basis)
-    _emit(args, "b0prime", result, lambda: _series_lines(series, args.basis), args.max_degree)
+    _emit(args, args.command, result, lambda: _series_lines(series, args.basis), args.max_degree)
     return 0
 
 
@@ -176,9 +161,9 @@ def _cmd_open_stratum(args) -> int:
         for (k, j), table in sorted(ec.sym_multiplicities.items()):
             row = ", ".join(f"{_partition_name(ct)}:{v}" for ct, v in sorted(table.items()))
             lines.append(f"  (k={k}, j={j})  {row}")
-        lines.append("sign component by (degree, weight):")
-        for (m, w), c in sorted(ec.alternating_parts().items()):
-            lines.append(f"  ({m}, {w}): {c}")
+        lines.append("sign component by local system (k, j) of Sym^k (x) L^j:")
+        for (k, j), c in sorted(ec.alternating_parts().items()):
+            lines.append(f"  ({k}, {j}): {c}")
         return lines
 
     _emit(args, "open-stratum", _stratum_json(ec), text)
@@ -280,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         if series:
             p.add_argument(
                 "--max-degree",
-                type=_max_degree_arg,
+                type=_int_between("max degree", 3, 20),
                 default=14,
                 help="truncation degree, 3 to 20 (default 14)",
             )
@@ -296,18 +281,18 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--points",
                 "-n",
-                type=_points_arg(lo, hi),
+                type=_int_between("points", lo, hi),
                 required=True,
                 help=f"number of marked points, {lo} to {hi}",
             )
 
-    p = sub.add_parser("a0", help="open genus-zero configuration series")
-    common(p, series=True, basis=True)
-    p.set_defaults(fn=_cmd_a0)
-
-    p = sub.add_parser("b0prime", help="stable genus-zero series")
-    common(p, series=True, basis=True)
-    p.set_defaults(fn=_cmd_b0prime)
+    for name, series, about in (
+        ("a0", genus0.a0_series, "open genus-zero configuration series"),
+        ("b0prime", genus0.b0_prime, "stable genus-zero series"),
+    ):
+        p = sub.add_parser(name, help=about)
+        common(p, series=True, basis=True)
+        p.set_defaults(fn=_cmd_series, series=series)
 
     p = sub.add_parser("lie", help="Lie character series")
     common(p, series=True, basis=True)

@@ -50,7 +50,6 @@ from functools import cache
 
 from . import symfunc as sf
 from .combinatorics import Partition, divisors, moebius, partitions_of
-from .motive import MotiveClass
 
 # Polynomials in q are tuples of integer coefficients, constant term first.
 
@@ -65,13 +64,6 @@ def _closed_point_poly(d: int) -> tuple[int, ...]:
         out[0] += mu
         out[e] += mu
     return tuple(out)
-
-
-def closed_point_count(d: int) -> MotiveClass:
-    """Number of degree-d closed points of P^1, as a polynomial in L."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return MotiveClass(tate={j: Fraction(c, d) for j, c in enumerate(_closed_point_poly(d))})
 
 
 @cache

@@ -11,6 +11,9 @@ opaque ring element: products of two cusp symbols never arise in the
 computations here and are rejected loudly.  ``S[2]`` is not a basis
 element; it rewrites to ``-L - 1`` on construction, which keeps every
 identity uniform in small degrees.
+
+A class is stored as one dict ``{(k, j): c}`` of nonzero Fractions, k = 0
+for ``L^j`` and k for ``S[k]*L^j``, as the series channels are numbered.
 """
 
 from __future__ import annotations
@@ -44,19 +47,19 @@ def _as_fraction(x) -> Fraction:
 class MotiveClass:
     """Immutable element of the Tate-plus-cusp coefficient ring."""
 
-    __slots__ = ("_tate", "_cusp")
+    __slots__ = ("_terms",)
 
     def __init__(self, tate=None, cusp=None):
-        t: dict[int, Fraction] = {}
-        cu: dict[tuple[int, int], Fraction] = {}
+        terms: dict[tuple[int, int], Fraction] = {}
+
+        def add(key, c):
+            terms[key] = terms.get(key, 0) + c
+
         for j, c in (tate or {}).items():
             j = int(j)
             if j < 0:
                 raise ValueError("negative Tate twists are not supported")
-            c = _as_fraction(c)
-            if c:
-                prev = t.get(j)
-                t[j] = c if prev is None else prev + c
+            add((0, j), _as_fraction(c))
         for (k, j), c in (cusp or {}).items():
             k, j = int(k), int(j)
             if k < 2 or k % 2 == 1:
@@ -64,18 +67,20 @@ class MotiveClass:
             if j < 0:
                 raise ValueError("negative Tate twists are not supported")
             c = _as_fraction(c)
-            if not c:
-                continue
             if k == 2:
                 # S[2] = -L - 1, so it never survives as a basis element
-                for jj in (j + 1, j):
-                    prev = t.get(jj)
-                    t[jj] = -c if prev is None else prev - c
+                add((0, j + 1), -c)
+                add((0, j), -c)
             else:
-                prev = cu.get((k, j))
-                cu[(k, j)] = c if prev is None else prev + c
-        object.__setattr__(self, "_tate", {j: c for j, c in t.items() if c})
-        object.__setattr__(self, "_cusp", {kj: c for kj, c in cu.items() if c})
+                add((k, j), c)
+        object.__setattr__(self, "_terms", {key: c for key, c in terms.items() if c})
+
+    @classmethod
+    def _make(cls, terms: dict) -> "MotiveClass":
+        """The class with ``terms``, already normal: nonzero Fractions on valid keys."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_terms", terms)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("MotiveClass is immutable")
@@ -104,32 +109,36 @@ class MotiveClass:
 
     # -- inspection ---------------------------------------------------
 
+    def terms(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
+        """Sorted ((k, j), c) pairs: k = 0 for L^j, k for S[k]*L^j."""
+        return tuple(sorted(self._terms.items()))
+
     def tate_items(self) -> tuple[tuple[int, Fraction], ...]:
-        return tuple(sorted(self._tate.items()))
+        return tuple((j, c) for (k, j), c in self.terms() if not k)
 
     def cusp_items(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
-        return tuple(sorted(self._cusp.items()))
+        return tuple(item for item in self.terms() if item[0][0])
 
     def tate_coefficient(self, j: int) -> Fraction:
-        return self._tate.get(j, Fraction(0))
+        return self._terms.get((0, j), Fraction(0))
 
     def cusp_coefficient(self, k: int, j: int = 0) -> Fraction:
-        return self._cusp.get((k, j), Fraction(0))
+        return self._terms.get((k, j), Fraction(0)) if k else Fraction(0)
 
     def is_zero(self) -> bool:
-        return not self._tate and not self._cusp
+        return not self._terms
 
     def is_tate_only(self) -> bool:
-        return not self._cusp
+        return not any(k for k, _ in self._terms)
 
     def is_rational(self) -> bool:
         """True when the class is a plain rational multiple of L^0."""
-        return not self._cusp and set(self._tate) <= {0}
+        return set(self._terms) <= {(0, 0)}
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"not a rational scalar: {self!r}")
-        return self._tate.get(0, Fraction(0))
+        return self._terms.get((0, 0), Fraction(0))
 
     # -- ring operations ----------------------------------------------
 
@@ -145,13 +154,10 @@ class MotiveClass:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        t = dict(self._tate)
-        for j, c in other._tate.items():
-            t[j] = t.get(j, Fraction(0)) + c
-        cu = dict(self._cusp)
-        for kj, c in other._cusp.items():
-            cu[kj] = cu.get(kj, Fraction(0)) + c
-        return MotiveClass(tate=t, cusp={(k, j): c for (k, j), c in cu.items()})
+        terms = dict(self._terms)
+        for key, c in other._terms.items():
+            terms[key] = terms.get(key, 0) + c
+        return MotiveClass._make({key: c for key, c in terms.items() if c})
 
     __radd__ = __add__
 
@@ -176,35 +182,23 @@ class MotiveClass:
         A nonzero scalar keeps every key and every value nonzero, so the
         result needs none of the checks in ``__init__``; zero gives zero.
         """
-        out = object.__new__(MotiveClass)
-        object.__setattr__(out, "_tate", {j: c * s for j, c in self._tate.items()} if s else {})
-        object.__setattr__(out, "_cusp", {kj: c * s for kj, c in self._cusp.items()} if s else {})
-        return out
+        return MotiveClass._make({key: c * s for key, c in self._terms.items()} if s else {})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
         if not isinstance(other, MotiveClass):
             return NotImplemented
-        if self._cusp and other._cusp:
-            raise UnsupportedCuspOperation(
-                "product of two cusp symbols is outside the supported ring"
-            )
-        tate: dict[int, Fraction] = {}
-        cusp: dict[tuple[int, int], Fraction] = {}
-        for j1, c1 in self._tate.items():
-            for j2, c2 in other._tate.items():
-                j = j1 + j2
-                tate[j] = tate.get(j, Fraction(0)) + c1 * c2
-        for (k, j1), c1 in self._cusp.items():
-            for j2, c2 in other._tate.items():
-                key = (k, j1 + j2)
-                cusp[key] = cusp.get(key, Fraction(0)) + c1 * c2
-        for (k, j2), c2 in other._cusp.items():
-            for j1, c1 in self._tate.items():
-                key = (k, j1 + j2)
-                cusp[key] = cusp.get(key, Fraction(0)) + c1 * c2
-        return MotiveClass(tate=tate, cusp=cusp)
+        terms: dict[tuple[int, int], Fraction] = {}
+        for (k1, j1), c1 in self._terms.items():
+            for (k2, j2), c2 in other._terms.items():
+                if k1 and k2:
+                    raise UnsupportedCuspOperation(
+                        "product of two cusp symbols is outside the supported ring"
+                    )
+                key = (k1 + k2, j1 + j2)
+                terms[key] = terms.get(key, 0) + c1 * c2
+        return MotiveClass._make({key: c for key, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -220,7 +214,7 @@ class MotiveClass:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._tate == other._tate and self._cusp == other._cusp
+        return self._terms == other._terms
 
     def __bool__(self):
         return not self.is_zero()
@@ -237,40 +231,37 @@ class MotiveClass:
         """
         if k < 1:
             raise ValueError("Adams operations need k >= 1")
-        if self._cusp:
+        if not self.is_tate_only():
             raise UnsupportedCuspOperation(
                 "Adams operations are only defined on Tate-only classes"
             )
-        return MotiveClass(tate={j * k: c for j, c in self._tate.items()})
+        return MotiveClass._make({(0, j * k): c for (_, j), c in self._terms.items()})
 
     def dual_in_dimension(self, d: int) -> "MotiveClass":
         """Poincare dual for a class on a smooth proper space of dimension d.
 
         L^j pairs with L^(d-j); S[k]*L^j pairs with S[k]*L^(d-(k-1)-j).
         """
-        tate = {d - j: c for j, c in self._tate.items()}
-        cusp = {(k, d - (k - 1) - j): c for (k, j), c in self._cusp.items()}
-        return MotiveClass(tate=tate, cusp=cusp)
+        terms = {(k, d - max(k - 1, 0) - j): c for (k, j), c in self._terms.items()}
+        if any(j < 0 for _, j in terms):
+            raise ValueError("negative Tate twists are not supported")
+        return MotiveClass._make(terms)
 
     def rank(self) -> Fraction:
         """Rank of the associated virtual Galois representation."""
-        r = sum(self._tate.values(), Fraction(0))
-        for (k, _), c in self._cusp.items():
-            r += 2 * dim_cusp_forms(k) * c
-        return r
+        return sum(
+            (c * (2 * dim_cusp_forms(k) if k else 1) for (k, _), c in self._terms.items()),
+            Fraction(0),
+        )
 
     def hodge_numbers(self) -> dict[tuple[int, int], Fraction]:
         """Virtual Hodge numbers; S[k] realizes in bidegrees (k-1,0),(0,k-1)."""
         hodge: dict[tuple[int, int], Fraction] = {}
-        for j, c in self._tate.items():
-            key = (j, j)
-            hodge[key] = hodge.get(key, Fraction(0)) + c
-        for (k, j), c in self._cusp.items():
-            d = dim_cusp_forms(k)
-            if d == 0:
-                continue
-            for key in ((k - 1 + j, j), (j, k - 1 + j)):
-                hodge[key] = hodge.get(key, Fraction(0)) + d * c
+        for (k, j), c in self._terms.items():
+            keys = ((k - 1 + j, j), (j, k - 1 + j)) if k else ((j, j),)
+            c = dim_cusp_forms(k) * c if k else c
+            for key in keys:
+                hodge[key] = hodge.get(key, 0) + c
         return {key: c for key, c in hodge.items() if c}
 
     def realize(self):
@@ -320,15 +311,11 @@ class MotiveClass:
         if self.is_zero():
             return "0"
         chunks = []
-        for (k, j), c in sorted(self._cusp.items(), reverse=True):
-            sym = f"S[{k}]"
-            if j == 1:
-                sym += "*L"
-            elif j > 1:
-                sym += f"*L^{j}"
-            chunks.append(self._fmt_coeff(c, not chunks, sym))
-        for j, c in sorted(self._tate.items(), reverse=True):
+        # sorted keys put the cusp terms first, then the Tate powers
+        for (k, j), c in sorted(self._terms.items(), reverse=True):
             sym = "" if j == 0 else ("L" if j == 1 else f"L^{j}")
+            if k:
+                sym = f"S[{k}]*{sym}" if sym else f"S[{k}]"
             chunks.append(self._fmt_coeff(c, not chunks, sym))
         return "".join(chunks)
 

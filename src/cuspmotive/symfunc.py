@@ -70,14 +70,6 @@ from .motive import MotiveClass, UnsupportedCuspOperation
 _z = cache(z_of)
 
 
-def _coerce_coeff(c) -> MotiveClass:
-    if isinstance(c, MotiveClass):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return MotiveClass(tate={0: c})
-    raise TypeError(f"cannot use {type(c).__name__} as a series coefficient")
-
-
 # -- integer polynomials in L and their packing ----------------------------
 
 
@@ -230,15 +222,9 @@ def _add_traces(into: dict, traces: dict, scale: int = 1) -> None:
 
 def _motive(channels: dict, den: int) -> MotiveClass:
     """The class with channel polynomials ``channels`` over the denominator den."""
-    tate, cusp = {}, {}
-    for k, p in channels.items():
-        for j, c in enumerate(p):
-            if c:
-                if k:
-                    cusp[(k, j)] = Fraction(c, den)
-                else:
-                    tate[j] = Fraction(c, den)
-    return MotiveClass(tate=tate, cusp=cusp)
+    return MotiveClass._make(
+        {(k, j): Fraction(c, den) for k, p in channels.items() for j, c in enumerate(p) if c}
+    )
 
 
 def _fraction_text(c: int, d: int) -> str:
@@ -267,10 +253,10 @@ class TruncatedSeries:
             if not 0 <= self._size(key) <= max_degree:
                 raise ValueError(f"term {key!r} is outside truncation degree {max_degree}")
             w = self._weight(key)
-            c = _coerce_coeff(c)
-            for j, v in c.tate_items():
-                fractions.setdefault(0, {}).setdefault(key, {})[j] = v * w
-            for (k, j), v in c.cusp_items():
+            m = MotiveClass._coerce(c)
+            if m is None:
+                raise TypeError(f"cannot use {type(c).__name__} as a series coefficient")
+            for (k, j), v in m.terms():
                 fractions.setdefault(k, {}).setdefault(key, {})[j] = v * w
         den = math.lcm(
             1,

@@ -54,26 +54,35 @@ def _expect(cond, msg):
 # Closed-form alternating targets.
 
 
-def _rational(x) -> MotiveClass:
-    return MotiveClass.from_rational(x)
-
-
-def check_alt_a0pp(max_degree: int = 14) -> CheckResult:
-    """Alt(a0'') = t/(1+t): through ``max_degree`` from the SymSeries
-    derivative, through ``pipeline.MAX_POINTS`` from the product formula."""
+def _check_two_routes(name, derivative, index, want, label, form, max_degree) -> CheckResult:
+    """Alt of an a0 derivative against the rational ``want(n)`` at each t^n:
+    through ``max_degree`` from the SymSeries ``derivative``, through
+    ``pipeline.MAX_POINTS`` from entry ``index`` of the product formula."""
 
     def body():
-        alt = genus0.a0_second_derivative(max_degree).alt()
-        product = genus0.a0_alt_derivatives(pipeline.MAX_POINTS)[1]
+        alt = derivative(max_degree).alt()
+        product = genus0.a0_alt_derivatives(pipeline.MAX_POINTS)[index]
         for route, series in (("SymSeries", alt), ("product", product)):
             for n in range(1, series.max_degree + 1):
                 _expect(
-                    series.coefficient(n) == _rational((-1) ** (n - 1)),
-                    f"{route}: coefficient t^{n} of Alt(a0'') is {series.coefficient(n)!r}",
+                    series.coefficient(n) == MotiveClass.from_rational(want(n)),
+                    f"{route}: coefficient t^{n}{label} is {series.coefficient(n)!r}",
                 )
-        return f"t/(1+t) through t^{max_degree}, product formula through t^{pipeline.MAX_POINTS}"
+        return f"{form} through t^{max_degree}, product formula through t^{pipeline.MAX_POINTS}"
 
-    return _run("alt-a0pp", body)
+    return _run(name, body)
+
+
+def check_alt_a0pp(max_degree: int = 14) -> CheckResult:
+    """Alt(a0'') = t/(1+t), by both routes of ``_check_two_routes``."""
+    return _check_two_routes("alt-a0pp", genus0.a0_second_derivative, 1,
+                             lambda n: (-1) ** (n - 1), " of Alt(a0'')", "t/(1+t)", max_degree)
+
+
+def check_alt_a0dot(max_degree: int = 14) -> CheckResult:
+    """Alt(a0dot) = (1/2) t/(1-t), by both routes of ``_check_two_routes``."""
+    return _check_two_routes("alt-a0dot", genus0.a0_p2_derivative, 2,
+                             lambda n: Fraction(1, 2), "", "(1/2) t/(1-t)", max_degree)
 
 
 def check_alt_psi_k(max_degree: int = 14) -> CheckResult:
@@ -84,33 +93,12 @@ def check_alt_psi_k(max_degree: int = 14) -> CheckResult:
             for n in range(1, max_degree + 1):
                 want = Fraction(-((-1) ** n)) if n % k == 0 else Fraction(0)
                 _expect(
-                    alt.coefficient(n) == _rational(want),
+                    alt.coefficient(n) == MotiveClass.from_rational(want),
                     f"k={k}: coefficient t^{n} is {alt.coefficient(n)!r}",
                 )
         return f"-(-t)^k/(1-(-t)^k) for k = 2..{min(5, max_degree)} through t^{max_degree}"
 
     return _run("alt-psi-k", body)
-
-
-def check_alt_a0dot(max_degree: int = 14) -> CheckResult:
-    """Alt(a0dot) = (1/2) t/(1-t): through ``max_degree`` from the SymSeries
-    derivative, through ``pipeline.MAX_POINTS`` from the product formula."""
-
-    def body():
-        alt = genus0.a0_p2_derivative(max_degree).alt()
-        product = genus0.a0_alt_derivatives(pipeline.MAX_POINTS)[2]
-        for route, series in (("SymSeries", alt), ("product", product)):
-            for n in range(1, series.max_degree + 1):
-                _expect(
-                    series.coefficient(n) == _rational(Fraction(1, 2)),
-                    f"{route}: coefficient t^{n} is {series.coefficient(n)!r}",
-                )
-        return (
-            f"(1/2) t/(1-t) through t^{max_degree}, "
-            f"product formula through t^{pipeline.MAX_POINTS}"
-        )
-
-    return _run("alt-a0dot", body)
 
 
 def check_alt_boundary(max_degree: int = 14) -> CheckResult:
@@ -132,7 +120,7 @@ def check_alt_boundary(max_degree: int = 14) -> CheckResult:
         for n in range(1, max_degree + 1):
             want = 1 if n % 2 else 0
             _expect(
-                alt.coefficient(n) == _rational(want),
+                alt.coefficient(n) == MotiveClass.from_rational(want),
                 f"coefficient t^{n} is {alt.coefficient(n)!r}",
             )
         for n in range(1, max_degree + 1):

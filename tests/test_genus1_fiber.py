@@ -307,6 +307,18 @@ def test_open_stratum_json_computes_sym_multiplicities_once(capsys, monkeypatch)
         assert calls == [n]
 
 
+def test_open_stratum_text_keys_the_sign_component_by_local_system(capsys):
+    """The last block of the text form is keyed by the Sym^k (x) L^j slot
+    (k, j) of ``alternating_parts``, not by a (degree, weight) bin."""
+    for n in (5, 6, 7):
+        assert cli.main(["open-stratum", "-n", str(n)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        head = lines.index("sign component by local system (k, j) of Sym^k (x) L^j:")
+        parts = fib.ec_open_stratum(n).alternating_parts()
+        assert lines[head + 1:] == [f"  ({k}, {j}): {c}" for (k, j), c in sorted(parts.items())]
+        assert not any("degree, weight" in line for line in lines)
+
+
 def test_open_stratum_json_matches_list_construction(capsys):
     """The document ``open-stratum --json`` writes, against one built
     with an explicit list for every cycle type and every (ct, v) pair."""

@@ -258,6 +258,35 @@ def _random_alt(rng, max_degree, allow_cusp=True):
     return sf.AltSeries(max_degree, coeffs), coeffs
 
 
+def test_coefficient_terms_are_the_series_channels():
+    """MotiveClass keys (k, j) number the series channels: the coefficient
+    at a key reads channel k's polynomial p as p[j] / (weight D), with S[2]
+    stored on channel 0."""
+    rng = random.Random(24)
+    cusp_terms = 0
+    for _ in range(60):
+        n = rng.randint(0, 7)
+        for series in (_random_series(rng, n, allow_cusp=True), _random_alt(rng, n)[0]):
+            for key in set().union(*series._traces.values()):
+                den = series._weight(key) * series._den
+                want = tuple(sorted(
+                    ((k, j), Fraction(c, den))
+                    for k, ch in series._traces.items() if key in ch
+                    for j, c in enumerate(ch[key]) if c
+                ))
+                got = series.coefficient(key).terms()
+                assert got == want and all(type(c) is Fraction for _, c in got), key
+                cusp_terms += sum(1 for (k, _), _ in got if k)
+    assert cusp_terms
+    for j in range(3):
+        c = Fraction(rng.randint(1, 5), rng.randint(1, 4))
+        s2 = MotiveClass(cusp={(2, j): c})
+        for series, key in ((sf.SymSeries(3, {P(2, 1): s2}), P(2, 1)), (sf.AltSeries(3, {2: s2}), 2)):
+            assert set(series._traces) == {0}
+            assert series.coefficient(key).terms() == (((0, j), -c), ((0, j + 1), -c))
+            assert series.coefficient(key) == -c * L ** (j + 1) - c * L**j
+
+
 def test_alt_series_normal_form_against_motive_class():
     """Sums, scalings, products and psi_m of the integer channels agree with
     the same operations done coefficient by coefficient in MotiveClass."""

@@ -28,3 +28,12 @@ __all__ = [
     "partitions_of",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """Load ``cuspmotive.verification`` on first use, not on ``import cuspmotive``."""
+    if name == "verification":
+        import importlib
+
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,6 +18,7 @@ for ``L^j`` and k for ``S[k]*L^j``, as the series channels are numbered.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 
@@ -44,6 +45,16 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+def _as_int(x) -> int:
+    """x as an int when it is an integer; a float, a str or a Fraction is refused."""
+    if type(x) is int:
+        return x
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"Tate twists and cusp weights must be integers, got {x!r}") from None
+
+
 class MotiveClass:
     """Immutable element of the Tate-plus-cusp coefficient ring."""
 
@@ -56,12 +67,12 @@ class MotiveClass:
             terms[key] = terms.get(key, 0) + c
 
         for j, c in (tate or {}).items():
-            j = int(j)
+            j = _as_int(j)
             if j < 0:
                 raise ValueError("negative Tate twists are not supported")
             add((0, j), _as_fraction(c))
         for (k, j), c in (cusp or {}).items():
-            k, j = int(k), int(j)
+            k, j = _as_int(k), _as_int(j)
             if k < 2 or k % 2 == 1:
                 raise ValueError(f"cusp symbols need even weight >= 2, got {k}")
             if j < 0:

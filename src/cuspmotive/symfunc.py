@@ -227,11 +227,6 @@ def _motive(channels: dict, den: int) -> MotiveClass:
     )
 
 
-def _fraction_text(c: int, d: int) -> str:
-    g = math.gcd(c, d)
-    return f"{c // g}/{d // g}"
-
-
 class TruncatedSeries:
     """A series truncated above ``max_degree``, stored by integer channels.
 
@@ -686,21 +681,22 @@ class SymSeries(TruncatedSeries):
             raise ValueError(f"unknown basis {basis!r}")
         entries = []
         if basis == "power":
+            gcd = math.gcd
+            tate_traces = self._traces.get(0, {})
+            cusp_traces = sorted((k, ch) for k, ch in self._traces.items() if k)
             for lam in self._keys():
                 zd = _z(lam) * self._den
-                channels = {k: ch[lam] for k, ch in self._traces.items() if lam in ch}
-                coeff = {
-                    "tate": [
-                        [j, _fraction_text(c, zd)] for j, c in enumerate(channels.get(0, ())) if c
-                    ],
-                    "cusp": [
-                        [k, j, _fraction_text(c, zd)]
-                        for k in sorted(channels)
-                        if k
-                        for j, c in enumerate(channels[k])
-                        if c
-                    ],
-                }
+                tate, cusp = [], []
+                for j, c in enumerate(tate_traces.get(lam, ())):
+                    if c:
+                        g = gcd(c, zd)
+                        tate.append([j, f"{c // g}/{zd // g}"])
+                for k, ch in cusp_traces:
+                    for j, c in enumerate(ch.get(lam, ())):
+                        if c:
+                            g = gcd(c, zd)
+                            cusp.append([k, j, f"{c // g}/{zd // g}"])
+                coeff = {"tate": tate, "cusp": cusp}
                 entries.append({"degree": lam.size, "partition": list(lam), "coeff": coeff})
         else:
             for n in sorted({sum(lam) for lam in self._keys()}):

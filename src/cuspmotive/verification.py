@@ -257,7 +257,9 @@ def check_row_bounds(n_max: int = 8) -> CheckResult:
 # for each prime r dividing p^k - 1; its p^k - 1 distinct powers are then
 # units, so with zero they exhaust the ring and f is irreducible as well
 # as primitive.  The squares x^(2^j) are built once per candidate f and
-# shared by x^(p^k - 1) and every x^((p^k - 1)/r).  Frobenius then acts on
+# shared by x^(p^k - 1) and every x^((p^k - 1)/r).  Two necessary
+# conditions run first and skip most candidates: the norm of x must
+# generate F_p^*, and f must have no root in F_p.  Frobenius then acts on
 # exponents by multiplication, so orbit bookkeeping never touches
 # polynomials; the points of each (p, e, d) are listed once and cached.
 
@@ -316,6 +318,16 @@ def _is_primitive(p: int, tail) -> bool:
     )
 
 
+def _norm_generates(p: int, tail) -> bool:
+    """Whether the norm of x generates F_p^*, f = x^k + sum_i tail[i] x^i.
+
+    The norm x^((p^k - 1)/(p - 1)) is the product of the roots of f,
+    (-1)^k tail[0]; it generates F_p^* whenever x generates GF(p^k)^*.
+    """
+    c = (-1) ** len(tail) * tail[0] % p
+    return c != 0 and all(pow(c, (p - 1) // r, p) != 1 for r in _prime_factors(p - 1))
+
+
 def _has_root(p: int, tail) -> bool:
     """Whether f = x^k + sum_i tail[i] x^i has a root in F_p."""
     return any(_horner(tail + (1,), x) % p == 0 for x in range(p))
@@ -325,14 +337,19 @@ def _has_root(p: int, tail) -> bool:
 def _field_modulus(p: int, k: int) -> tuple[int, ...]:
     """The low coefficients of the first primitive monic f of degree k over F_p.
 
-    A candidate of degree k >= 2 with a root in F_p is reducible, so it is
-    skipped before the order certificate is run; the first primitive f
-    in the search order stays the same.
+    A candidate whose norm (-1)^k f(0) does not generate F_p^* cannot be
+    primitive, and one of degree k >= 2 with a root in F_p is reducible;
+    both are skipped before the order certificate is run, so the first
+    primitive f in the search order stays the same.
     """
     from itertools import product as iproduct
 
     for tail in iproduct(range(p), repeat=k):
-        if tail[0] and not (k >= 2 and _has_root(p, tail)) and _is_primitive(p, tail):
+        if (
+            _norm_generates(p, tail)
+            and not (k >= 2 and _has_root(p, tail))
+            and _is_primitive(p, tail)
+        ):
             return tail
     raise RuntimeError(f"no generator found for GF({p}^{k})")
 

@@ -35,6 +35,18 @@ def test_constructor_validation():
         L.foo = 1  # immutable
 
 
+def test_constructor_refuses_non_integer_keys():
+    for bad in (1.5, 2.0, "2", Fraction(1), Fraction(3, 2)):
+        with pytest.raises(ValueError):
+            MotiveClass(tate={bad: 1})
+        with pytest.raises(ValueError):
+            MotiveClass(cusp={(12, bad): 1})
+    for bad in (12.9, 12.0, "12", Fraction(12)):
+        with pytest.raises(ValueError):
+            MotiveClass(cusp={(bad, 0): 1})
+    assert MotiveClass(tate={True: 1}) == L
+
+
 def test_weight_two_rewrite():
     assert MotiveClass.cusp(2) == -L - ONE
     assert MotiveClass.cusp(2, twist=3) == -(L**4) - L**3

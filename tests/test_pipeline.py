@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import fraction_series as fs
 import pytest
@@ -141,6 +145,27 @@ def test_cli_verify_all_quick(capsys):
         assert entry["passed"]
         assert set(entry) == {"name", "passed", "detail", "seconds"}
         assert isinstance(entry["seconds"], float) and entry["seconds"] >= 0
+
+
+def test_cli_loads_verification_on_first_use():
+    script = (
+        "import sys, cuspmotive, cuspmotive.cli\n"
+        "print('cuspmotive.verification' in sys.modules)\n"
+        "print(callable(cuspmotive.verification.check_secondary_oracles))\n"
+        "print(cuspmotive.cli.main(['verify-all', '--max-degree', '4', '--json']))\n"
+    )
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "False" and lines[1] == "True" and lines[-1] == "0", proc.stdout
+    assert json.loads(lines[2])["command"] == "verify-all"
 
 
 def test_cli_json_skips_text_rendering(capsys, monkeypatch):

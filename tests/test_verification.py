@@ -6,6 +6,14 @@ from cuspmotive import genus0, symfunc as sf, verification
 from cuspmotive.combinatorics import partitions_of
 
 
+# Every GF(p^k) small enough to tabulate all its candidate moduli.
+SMALL_FIELDS = (
+    (2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
+    (3, 1), (3, 2), (3, 3), (3, 4),
+    (5, 1), (5, 2), (5, 3),
+)
+
+
 def _oracle_fields():
     """Every GF(p^k) the secondary oracle builds: F_(p^e) extended by each part d."""
     return sorted(
@@ -32,15 +40,40 @@ def test_certificate_rejects_non_primitive_moduli():
     assert not verification._is_primitive(5, (1, 0))
     # f(0) = 0 makes x a zero divisor
     assert not verification._is_primitive(3, (0, 1))
-    for p, k in (
-        (2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
-        (3, 1), (3, 2), (3, 3), (3, 4),
-        (5, 1), (5, 2), (5, 3),
-    ):
+    for p, k in SMALL_FIELDS:
         for tail in product(range(p), repeat=k):
             assert verification._is_primitive(p, tail) == (
                 ft.exponent_table(p, tail) is not None
             ), (p, tail)
+
+
+def test_norm_filter_keeps_every_primitive_modulus():
+    for p, k in SMALL_FIELDS:
+        for tail in product(range(p), repeat=k):
+            if ft.exponent_table(p, tail) is not None:
+                assert verification._norm_generates(p, tail), (p, tail)
+    # x^2 + x + 1 over F_5: the norm 1 has order 1, not 4
+    assert not verification._norm_generates(5, (1, 1))
+    assert not verification._norm_generates(3, (0, 1))
+
+
+def test_modulus_search_certifies_only_filtered_candidates(monkeypatch):
+    certified = []
+    real = verification._is_primitive
+
+    def counted(p, tail):
+        certified.append((p, tail))
+        return real(p, tail)
+
+    monkeypatch.setattr(verification, "_is_primitive", counted)
+    verification._field_modulus.cache_clear()
+    try:
+        moduli = {pk: verification._field_modulus(*pk) for pk in _oracle_fields()}
+    finally:
+        verification._field_modulus.cache_clear()
+    assert moduli == {pk: ft.first_primitive_modulus(*pk) for pk in _oracle_fields()}
+    assert len(certified) <= 33
+    assert all(verification._norm_generates(p, tail) for p, tail in certified)
 
 
 def _oracle_point_sets():

@@ -10,6 +10,7 @@ range the underlying computation supports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -93,7 +94,7 @@ def _emit(args, command: str, result, text_lines, max_degree=None) -> None:
 
 
 def _cmd_series(args) -> int:
-    series = args.series(args.max_degree)
+    series = getattr(genus0, args.series)(args.max_degree)
     result = series.to_json(basis=args.basis)
     _emit(args, args.command, result, lambda: _series_lines(series, args.basis), args.max_degree)
     return 0
@@ -254,7 +255,15 @@ def _cmd_verify_all(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.
+
+    It is pure configuration: ``parse_args`` returns a fresh namespace
+    each time, and series functions are named, not bound, so a module
+    attribute wrapped or patched after the first build is still the one
+    called.
+    """
     parser = argparse.ArgumentParser(
         prog="cuspmotive",
         description="exact symmetric-function computations for pointed curve spaces",
@@ -289,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     for name, series, about in (
-        ("a0", genus0.a0_series, "open genus-zero configuration series"),
-        ("b0prime", genus0.b0_prime, "stable genus-zero series"),
+        ("a0", "a0_series", "open genus-zero configuration series"),
+        ("b0prime", "b0_prime", "stable genus-zero series"),
     ):
         p = sub.add_parser(name, help=about)
         common(p, series=True, basis=True)

@@ -86,12 +86,14 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
 def z_of(lam) -> int:
     """Order of the centralizer of a permutation of cycle type lam.
 
-    z = prod_i i^{m_i} m_i! where m_i is the multiplicity of i in lam.
+    z = prod_i i^{m_i} m_i! where m_i is the multiplicity of i in lam: the
+    r-th copy of a part contributes part * r, one pass over the parts.
     """
-    lam = Partition(lam)
-    z = 1
-    for part, m in lam.multiplicities().items():
-        z *= part**m * math.factorial(m)
+    z, run, prev = 1, 0, 0
+    for part in Partition(lam):
+        run = run + 1 if part == prev else 1
+        prev = part
+        z *= part * run
     return z
 
 
@@ -150,8 +152,10 @@ def divisors(n: int) -> list[int]:
 # (mask >> k) & ~mask, and the strip's height is the bit_count of the beads
 # jumped over.  A bead at 0 is a zero part: masks shift off their trailing
 # filled positions.  Values below the top call are memoised by (mask, parts
-# left); the memo starts over past _STRIP_MEMO_LIMIT entries, more than the
-# whole table at n = 20 needs.
+# left); the memo starts over past _STRIP_MEMO_LIMIT entries.  Only the
+# verification battery and ``symfunc.schur`` read characters one at a time
+# (``SymSeries.to_schur`` adds border strips instead); every table through
+# n = 12 together takes 1,403 entries.
 
 _STRIP_MEMO: dict[tuple[int, tuple[int, ...]], int] = {}
 _STRIP_MEMO_LIMIT = 1 << 17

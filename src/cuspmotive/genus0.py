@@ -17,16 +17,19 @@ and r_d for the number of parts of lam equal to d,
     trace(lam) = prod_d prod_{t < r_d} (d m_d(q) - d t) / (q^3 - q).
 
 Each factor is a monic polynomial in Z[q], since
-d m_d(q) = sum_{e | d} mu(d/e) (q^e + 1).  The numerator of lam is the
-numerator of lam with its smallest part removed times one such factor, so
-partitions that share a prefix share its product.  The division by the
-monic q^3 - q is exact in Z[q]; a nonzero remainder would mean the formula
-is being misused and raises immediately.
+d m_d(q) = sum_{e | d} mu(d/e) (q^e + 1).  The division by the monic
+q^3 - q is exact in Z[q]; a nonzero remainder would mean the formula is
+being misused and raises immediately.
 
-The series :func:`a0_series` is stored by exactly these traces: the
-trace of lam is :func:`twisted_count_poly` of lam, an integer polynomial,
-so building it makes no Fraction (:mod:`~cuspmotive.symfunc`).  Its
-p-derivatives are index shifts of the same traces; a0' has trace
+The series :func:`a0_series` is stored by exactly these traces, integer
+polynomials, so building it makes no Fraction (:mod:`~cuspmotive.symfunc`).
+They come from one depth-first walk of the partitions, each node a
+prefix that carries its product and each child one more factor.  The
+division happens where a prefix first reaches size 3, 21 times at
+N = 20 for 2,710 traces; below such a node a quotient times a factor is
+the child's trace.  :func:`twisted_count_poly` is the second route, one
+partition at a time with its own division.  The p-derivatives of a0 are
+index shifts of the same traces; a0' has trace
 ``twisted_count_poly(mu + (1,))`` on mu.
 
 The boundary needs only the alternating images of the derivatives a0',
@@ -67,19 +70,11 @@ def _closed_point_poly(d: int) -> tuple[int, ...]:
 
 
 @cache
-def _count_numerator(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Numerator of :func:`twisted_count_poly`, one factor d m_d(q) - d t per part.
-
-    ``parts`` is weakly decreasing and t counts the parts equal to d ahead
-    of it.  The smallest part is peeled off, so each prefix's product is
-    built once and shared by every partition that extends it.
-    """
-    if not parts:
-        return (1,)
-    rest, d = parts[:-1], parts[-1]
+def _point_factor(d: int, t: int) -> tuple[int, ...]:
+    """d m_d(q) - d t: the factor of a part d with t equal parts ahead of it."""
     factor = list(_closed_point_poly(d))
-    factor[0] -= d * rest.count(d)
-    return sf._poly_mul(factor, _count_numerator(rest))
+    factor[0] -= d * t
+    return tuple(factor)
 
 
 def _divide_by_q3_minus_q(num) -> tuple[int, ...]:
@@ -102,30 +97,61 @@ def _divide_by_q3_minus_q(num) -> tuple[int, ...]:
 def twisted_count_poly(lam) -> tuple[int, ...]:
     """Trace polynomial of a cycle-type-lam permutation on the degree-n piece.
 
-    Integer coefficients, constant term first.  Exposed separately so the
-    finite-field oracle can compare against it value by value.
+    Integer coefficients, constant term first: one factor per part, then
+    one division.  This per-partition route is independent of the walk
+    in :func:`a0_series`, so the finite-field oracle and the tests can
+    compare against it value by value.
     """
     lam = Partition(lam)
     if lam.size < 3:
         raise ValueError("needs at least 3 points")
-    return _divide_by_q3_minus_q(_count_numerator(tuple(lam)))
+    num, t = (1,), 0
+    for i, d in enumerate(lam):
+        t = t + 1 if i and lam[i - 1] == d else 0
+        num = sf._poly_mul(_point_factor(d, t), num)
+    return _divide_by_q3_minus_q(num)
+
+
+def _walked_traces(max_degree: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The trace of every partition of size 3..N, from one depth-first walk.
+
+    A node is a weakly decreasing tuple of parts and carries its product
+    of factors; a child appends a part d no larger than the last, so the
+    t of its factor is the run of d ending the parent.  The product is
+    divided by q^3 - q where a prefix first reaches size 3, and from
+    there on each child's trace is its parent's trace times the factor.
+    """
+    traces = {}
+
+    def visit(parts, size, poly, run):
+        top = parts[-1] if parts else max_degree
+        for d in range(min(top, max_degree - size), 0, -1):
+            t = run if d == top else 0
+            child, grown = parts + (d,), size + d
+            p = sf._poly_mul(_point_factor(d, t), poly)
+            if grown >= 3:
+                if size < 3:
+                    p = _divide_by_q3_minus_q(p)
+                traces[child] = p
+            visit(child, grown, p, t + 1)
+
+    visit((), 0, (1,), 0)
+    return traces
 
 
 @cache
 def a0_series(max_degree: int) -> sf.SymSeries:
     """Equivariant e_c of n distinct points on P^1 mod PGL_2, degrees 3..N.
 
-    Its trace on the class lam is ``twisted_count_poly(lam)`` unchanged.
+    Its trace on the class lam is ``twisted_count_poly(lam)``, read off
+    one walk over the partitions and stored in the series' key order.
     """
     if max_degree < 3:
         raise ValueError("max_degree must be >= 3")
-    return sf.SymSeries.from_traces(
+    walked = _walked_traces(max_degree)
+    return sf.SymSeries._make(
         max_degree,
-        {
-            lam: twisted_count_poly(lam)
-            for n in range(3, max_degree + 1)
-            for lam in partitions_of(n)
-        },
+        {0: {lam: walked[lam] for n in range(3, max_degree + 1) for lam in partitions_of(n)}},
     )
 
 

@@ -31,8 +31,9 @@ Every operation is integer arithmetic on traces:
   accumulated with the integer weights N!/z_lam and divided by N! once.
   Integer-valued class functions are closed under plethysm, so the
   quotient is exact and a remainder raises ``ArithmeticError``;
-* Alt, Schur coefficients, inner products and ranks are integer dot
-  products over the traces of one degree, divided once.
+* Alt, inner products and ranks are integer dot products over the
+  traces of one degree, divided once; Schur coefficients add border
+  strips to the same traces, one Horner pass over a trie of the classes.
 
 Polynomial products of symmetric functions run on Kronecker-packed ints:
 a polynomial whose coefficients are at most B in absolute value is
@@ -199,6 +200,55 @@ def _plethysm_bound(outer: dict, inner: dict, inner_den: int, lmax: int, n: int)
             total[m] += a * power[m]
         power = [sum(power[i] * hat[m - i] for i in range(m)) for m in range(n + 1)]
     return max(math.factorial(m) * t for m, t in enumerate(total))
+
+
+@cache
+def _bead_shapes(n: int) -> dict[int, Partition]:
+    """lam |- n by its n-bead mask: a bead at lam_i + n - i for i = 1..n."""
+    return {
+        sum(1 << (part + n - 1 - i) for i, part in enumerate(lam + (0,) * (n - len(lam)))): lam
+        for lam in partitions_of(n)
+    }
+
+
+def _strip_expansion(coeffs: dict, n: int) -> dict[int, int]:
+    """sum_mu coeffs[mu] p_mu, mu |- n, in the Schur basis as {n-bead mask: coefficient}.
+
+    The mu are put in a trie on their parts and expanded by Horner:
+    s(node) = c_node s_0 + sum_k p_k s(child_k).  Murnaghan-Nakayama on
+    beads (Macdonald I.3, Ex. 11): p_k s_nu moves each bead at i to an
+    empty i + k, with the sign (-1)^(beads strictly between).  Every shape
+    on the way has at most n rows, so n beads place them all and s_0 is
+    (1 << n) - 1.
+    """
+    trie: dict = {}
+    for mu, c in coeffs.items():
+        node = trie
+        for k in mu:
+            node = node.setdefault(k, {})
+        node[0] = c  # parts are positive, so 0 keys the constant
+    empty = (1 << n) - 1
+
+    def expand(node) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for k, child in node.items():
+            if not k:
+                out[empty] = out.get(empty, 0) + child
+                continue
+            between = (1 << (k - 1)) - 1
+            for mask, x in expand(child).items():
+                targets = (mask << k) & ~mask
+                while targets:
+                    low = targets & -targets
+                    targets ^= low
+                    moved = mask ^ (low | low >> k)
+                    if (mask >> (low.bit_length() - k) & between).bit_count() & 1:
+                        out[moved] = out.get(moved, 0) - x
+                    else:
+                        out[moved] = out.get(moved, 0) + x
+        return out
+
+    return expand(trie)
 
 
 def _divide_exact(poly, d: int) -> tuple[int, ...]:
@@ -369,9 +419,15 @@ class TruncatedSeries:
         return self + (-other)
 
     def scaled(self, c):
-        """Each coefficient times c, an int, Fraction or MotiveClass."""
+        """Each coefficient times c, an int, Fraction or MotiveClass.
+
+        Anything else, a float or a string included, is a ``TypeError``:
+        ``Fraction`` would read either without complaint.
+        """
         if isinstance(c, MotiveClass):
             return self * type(self)(self.max_degree, {self._UNIT_KEY: c})
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"cannot scale a series by {type(c).__name__}")
         c = Fraction(c)
         if not c:
             return self._make(self.max_degree, {})
@@ -649,27 +705,26 @@ class SymSeries(TruncatedSeries):
     def to_schur(self, n: int) -> dict[Partition, MotiveClass]:
         """Schur expansion of the degree-n piece: <f, s_lam> per lam.
 
-        <f, s_lam> = sum_mu chi^lam(mu) f_mu / z_mu.  By the orthonormality
-        of chi^lam, sum_mu (n!/z_mu) |chi^lam(mu)| <= n!, which bounds each
-        packed dot product by n! times the largest trace coefficient.
+        <f, s_lam> = sum_mu chi^lam(mu) f_mu / z_mu, the s_lam coefficient
+        of sum_mu (n!/z_mu) f_mu p_mu over n!.  That sum is expanded by
+        adding border strips (:func:`_strip_expansion`), not one character
+        per (lam, mu).  By the orthonormality of chi^lam,
+        sum_mu (n!/z_mu) |chi^lam(mu)| <= n!, which bounds each packed
+        coefficient by n! times the largest trace coefficient.
         """
         fact = math.factorial(n)
         rows: dict[Partition, dict] = {}
+        shapes = _bead_shapes(n)
         for k, channel in self._traces.items():
             piece = {mu: p for mu, p in channel.items() if sum(mu) == n}
             if not piece:
                 continue
             bound = fact * max(max(map(abs, p)) for p in piece.values())
             w = _width(bound)
-            packed = [(mu, fact // _z(mu), _pack(p, w)) for mu, p in piece.items()]
-            for lam in partitions_of(n):
-                x = 0
-                for mu, weight, y in packed:
-                    chi = character(lam, mu)
-                    if chi:
-                        x += weight * chi * y
+            packed = {mu: fact // _z(mu) * _pack(p, w) for mu, p in piece.items()}
+            for mask, x in _strip_expansion(packed, n).items():
                 if x:
-                    rows.setdefault(lam, {})[k] = _unpack(x, w, bound)
+                    rows.setdefault(shapes[mask], {})[k] = _unpack(x, w, bound)
         return {
             lam: _motive(rows[lam], fact * self._den) for lam in partitions_of(n) if lam in rows
         }

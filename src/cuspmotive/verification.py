@@ -563,6 +563,28 @@ def property_character_orthogonality(n_max: int = 8) -> int:
     return cases
 
 
+def property_schur_strips(cases: int = 100, seed: int = 2813, n_max: int = 12) -> int:
+    """``to_schur``, which adds border strips to packed traces, equals the
+    per-pair dot products sum_mu chi^lam(mu) c_mu in MotiveClass arithmetic
+    on random series through degree n_max, with cusp channels and
+    denominators; returns the number of series tried."""
+    rng = random.Random(seed)
+    for i in range(cases):
+        f = _random_series(rng, n_max, allow_cusp=True)
+        for n in range(n_max + 1):
+            terms = f.degree_terms(n)
+            want = {}
+            for lam in partitions_of(n):
+                c = sum(
+                    (coeff * character(lam, mu) for mu, coeff in terms.items()),
+                    MotiveClass.zero(),
+                )
+                if not c.is_zero():
+                    want[lam] = c
+            _expect(f.to_schur(n) == want, f"case {i}, degree {n}: Schur tables differ")
+    return cases
+
+
 def property_fiber_characters(n_max: int = 7) -> int:
     """Each (degree, weight) block of the fiber traces is a genuine
     representation: its multiplicities against the irreducible characters
@@ -623,6 +645,7 @@ def check_property_suites(max_degree: int = 14) -> CheckResult:
             "plethysm-associative": property_plethysm_associative(),
             "alt-adams": property_alt_adams(),
             "character-orthogonality": property_character_orthogonality(),
+            "schur-strips": property_schur_strips(),
             "fiber-characters": property_fiber_characters(),
             "b0-palindromic": property_b0_palindromic(max(12, max_degree)),
         }

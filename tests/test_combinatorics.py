@@ -94,6 +94,10 @@ def test_z_and_class_size():
         assert sum(sizes.values()) == math.factorial(n)
         for lam in partitions_of(n):
             assert sizes[lam] * z_of(lam) == math.factorial(n)
+    for n in range(21):
+        for lam in partitions_of(n):
+            want = math.prod(d**m * math.factorial(m) for d, m in lam.multiplicities().items())
+            assert z_of(lam) == want, lam
 
 
 def test_class_sign():

@@ -77,6 +77,39 @@ def test_inexact_division_raises():
         genus0._divide_by_q3_minus_q((0, 0, 1, 0, 1))  # q^4 + q^2
 
 
+def test_a0_walk_matches_per_partition_route():
+    a0 = genus0.a0_series(20)
+    want = {lam: genus0.twisted_count_poly(lam) for n in range(3, 21) for lam in partitions_of(n)}
+    assert len(want) == 2710
+    assert a0._traces == {0: want}
+    assert list(a0._traces[0]) == a0._keys()
+
+
+def test_a0_series_builds_without_per_partition_route(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a0_series called twisted_count_poly")
+
+    built = genus0.a0_series.__wrapped__
+    want = genus0.a0_series(12)
+    monkeypatch.setattr(genus0, "twisted_count_poly", refuse)
+    assert built(12) == want
+
+
+def test_a0_series_divides_once_per_size_3_prefix(monkeypatch):
+    """The prefixes first reaching size 3 are (d) for d = 3..20, (2, 1),
+    (2, 2) and (1, 1, 1): 21 divisions for 2,710 traces."""
+    divisions = []
+    divide = genus0._divide_by_q3_minus_q
+
+    def counted(num):
+        divisions.append(num)
+        return divide(num)
+
+    monkeypatch.setattr(genus0, "_divide_by_q3_minus_q", counted)
+    assert genus0.a0_series.__wrapped__(20) == genus0.a0_series(20)
+    assert len(divisions) == 21
+
+
 def test_twisted_count_poly_matches_fraction_oracle():
     for n in range(3, 15):
         for lam in partitions_of(n):

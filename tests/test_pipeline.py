@@ -254,6 +254,44 @@ def test_cli_a0_json_bytes_at_degree_20_are_pinned(tmp_path):
     )
 
 
+def test_cli_a0_schur_json_bytes_at_degree_20_are_pinned(tmp_path):
+    """The 458,783-byte ``a0 --max-degree 20 --basis schur --json``
+    document, as the per-pair character route wrote it, byte for byte."""
+    out = tmp_path / "a0-schur.json"
+    argv = ["a0", "--max-degree", "20", "--basis", "schur", "--json", "--out", str(out)]
+    assert cli.main(argv) == 0
+    data = out.read_bytes()
+    assert len(data) == 458783
+    assert hashlib.sha256(data).hexdigest() == (
+        "3cb6969e9191a5e2fc7dd9ee3d8aaa85bf9472d6e64fe803f423e0b8d8537a82"
+    )
+
+
+def test_cli_builds_one_parser_per_process(capsys, monkeypatch):
+    """Every ``main`` call after the first reuses the parser, whose help is
+    that of a freshly built one, and a series function patched after the
+    build is the one called."""
+    cli.build_parser.cache_clear()
+    helps = {}
+    for argv in (["--help"], ["verify-all", "--help"], ["a0", "--help"], ["--help"]):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        got = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            cli.build_parser.__wrapped__().parse_args(argv)
+        assert got == capsys.readouterr().out, argv
+        assert helps.setdefault(tuple(argv), got) == got
+    called = []
+    b0_prime = genus0.b0_prime
+    monkeypatch.setattr(genus0, "b0_prime", lambda n: called.append(n) or b0_prime(n))
+    assert cli.main(["b0prime", "--max-degree", "4", "--json"]) == 0
+    assert cli.main(["interior", "-n", "3", "--json"]) == 0
+    capsys.readouterr()
+    assert called == [4]
+    assert cli.build_parser.cache_info().misses == 1
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_cli_json_stays_in_c_encoder(tmp_path, capsys, monkeypatch):
     """Every ``--json`` document is encoded without the pure-Python
     encoder, which any ``indent`` would select, and is one compact line."""

@@ -208,6 +208,57 @@ def test_to_schur_round_trip():
             assert table == {lam: ONE}
 
 
+def _schur_sources():
+    """a0, b0', ch_lie and a dense series with cusp channels over D = 12."""
+    rng = random.Random(28)
+    terms = {}
+    for n in range(13):
+        for lam in partitions_of(n):
+            if rng.random() < 0.4:
+                cusp = {(2 * rng.randint(2, 8), rng.randint(0, 3)): Fraction(rng.randint(-9, 9), 4)}
+                tate = {rng.randint(0, 4): Fraction(rng.randint(-9, 9), 3)}
+                terms[lam] = MotiveClass(tate=tate, cusp=cusp)
+    cuspy = sf.SymSeries(12, terms)
+    assert cuspy._den > 1 and len(cuspy._traces) > 1
+    return [genus0.a0_series(12), genus0.b0_prime(12), genus0.ch_lie(12), cuspy]
+
+
+def test_to_schur_matches_character_oracle():
+    """Adding border strips gives the tables of the per-pair route, one
+    ``character_oracle`` value per (lam, mu), through n = 12."""
+    for f in _schur_sources():
+        F = fs.FractionSeries.of(f)
+        for n in range(13):
+            assert f.to_schur(n) == F.to_schur(n), n
+
+
+def test_to_schur_reads_no_character(monkeypatch):
+    from cuspmotive import combinatorics
+
+    sources = _schur_sources()
+    want = [[f.to_schur(n) for n in range(13)] for f in sources]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("to_schur read a character")
+
+    monkeypatch.setattr(sf, "character", refuse)
+    monkeypatch.setattr(combinatorics, "character", refuse)
+    monkeypatch.setattr(combinatorics, "_strip_sum", refuse)
+    assert [[f.to_schur(n) for n in range(13)] for f in sources] == want
+
+
+def test_scaled_refuses_floats_and_strings():
+    f = sf.power_sum(1, 3)
+    assert f.scaled(True) == f and f.scaled(Fraction(1, 3)) * 3 == f
+    for c in (0.1, 2.0, "1/3", None):
+        with pytest.raises(TypeError):
+            f.scaled(c)
+        with pytest.raises(TypeError):
+            f.alt().scaled(c)
+    with pytest.raises(TypeError):
+        f * 0.5
+
+
 def test_keys_keep_the_size_then_reverse_lexicographic_order():
     """Keys come out by size, then in reverse lexicographic order, as the
     sort key (size, negated parts) orders them."""

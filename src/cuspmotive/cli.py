@@ -37,14 +37,14 @@ def _partition_name(lam, head: str = "p") -> str:
 
 
 def _series_lines(series, basis: str = "power") -> list[str]:
+    if basis == "schur":
+        head, tables = "s", {n: series.to_schur(n) for n in range(series.max_degree + 1)}
+    else:  # one pass over the sorted keys, grouped by degree
+        head, tables = "p", {}
+        for lam, c in series.items():
+            tables.setdefault(lam.size, {})[lam] = c
     lines = []
-    for n in range(series.max_degree + 1):
-        if basis == "schur":
-            table = series.to_schur(n)
-            head = "s"
-        else:
-            table = series.degree_terms(n)
-            head = "p"
+    for n, table in tables.items():
         if not table:
             continue
         lines.append(f"degree {n}:")

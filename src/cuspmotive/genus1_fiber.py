@@ -6,10 +6,12 @@ complement of the big diagonals in E^(n-1).  As a graded S_n-module,
 H^*(E^(n-1)) is the exterior algebra on V (x) std, where V = H^1(E) has
 SL_2-weights +1 and -1 and std is the reduced permutation representation
 (Getzler, "Resolving mixed Hodge modules on configuration spaces", 1999).
-Graded traces are therefore products over the cycles of a permutation.
+Graded traces are therefore products over the cycles of a permutation,
+read off as f(ux) f(u/x) from one list f per cycle type.
 
 The equivariant e_c of the open stratum comes from twisted point counts
-on E, as genus zero's come from counts on P^1 (:func:`ec_open_stratum`).
+on E, as genus zero's come from counts on P^1 (:func:`ec_open_stratum`);
+the interior series pairs them with e_c of the local systems, on integer channels.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
+from . import symfunc as sf
 from .combinatorics import (
     Partition,
     class_sign,
@@ -47,19 +50,20 @@ def graded_traces(n: int, ct) -> dict:
     With u marking degree and x marking weight, the generating function is
     prod over cycles k of (1 - (-ux)^k)(1 - (-u/x)^k), divided by
     (1 + ux)(1 + u/x) to remove the trivial summand of the permutation
-    representation.  The division is exact against the first cycle, whose
-    factor becomes sum_(i<k) (-ux)^i times sum_(i<k) (-u/x)^i.
+    representation.  The division is exact against the first cycle, so the
+    function is f(ux) f(u/x), f(a) = sum_(i<ct_1) (-a)^i prod_(k in the rest
+    of ct) (1 - (-a)^k), and the block (i + j, i - j) carries f_i f_j.
     """
     ct = Partition(ct)
     if ct.size != n:
         raise ValueError("cycle type size mismatch")
     first, *rest = ct
-    traces = {(0, 0): 1}
-    for sign in (1, -1):
-        traces = _bin_product(traces, {(i, sign * i): (-1) ** i for i in range(first)})
-        for k in rest:
-            traces = _bin_product(traces, {(0, 0): 1, (k, sign * k): (-1) ** (k + 1)})
-    return traces
+    f = [(-1) ** i for i in range(first)]
+    for k in rest:  # times 1 - (-a)^k
+        f += [0] * k
+        for i in range(len(f) - 1, k - 1, -1):
+            f[i] -= (-1) ** k * f[i - k]
+    return {(i + j, i - j): a * b for i, a in enumerate(f) if a for j, b in enumerate(f) if b}
 
 
 def alternating_component(n: int) -> dict:
@@ -104,9 +108,6 @@ class EquivariantClass:
 
     n: int
     bins: dict
-
-    def trace(self, m: int, w: int, ct) -> int:
-        return self.bins.get((m, w), {}).get(Partition(ct), 0)
 
     def is_weight_symmetric(self) -> bool:
         for (m, w), vec in self.bins.items():
@@ -234,8 +235,6 @@ def interior_exact_series(max_degree: int):
     Only the sign-isotypic information is retained, which is all the
     alternating functional ever reads.
     """
-    from . import symfunc as sf
-
     total = sf.zero(max_degree)
     for n in range(1, max_degree + 1):
         c = interior_alternating(n)
@@ -248,21 +247,20 @@ def interior_small_series(max_degree: int, n_max: int | None = None):
     """Full equivariant interior e_c for degrees up to min(n_max, max_degree).
 
     Degree n is assembled from the open-stratum trace table: every
-    Sym^k (x) L^j multiplicity is paired with the Euler characteristic
-    of the corresponding local system on the open modular curve.
+    Sym^k (x) L^j multiplicity v on ct is paired with the Euler characteristic
+    of the local system on the open modular curve, so the trace on ct is
+    sum v e_c(Sym^k) L^j, an integer polynomial in each channel.
     """
-    from . import symfunc as sf
-
     n_max = max_degree if n_max is None else min(n_max, max_degree)
-    terms: dict[Partition, MotiveClass] = {}
+    traces: dict[int, dict[Partition, list]] = {}
     for n in range(1, n_max + 1):
         ec = ec_open_stratum(n)
         for (k, j), vec in ec.sym_multiplicities.items():
-            factor = local_system_euler(k) * MotiveClass.lefschetz(j)
-            if factor.is_zero():
-                continue
-            for ct, v in vec.items():
-                add = factor * Fraction(v, z_of(ct))
-                prev = terms.get(ct)
-                terms[ct] = add if prev is None else prev + add
-    return sf.SymSeries(max_degree, terms)
+            for (channel, i), c in local_system_euler(k).terms():
+                if c.denominator != 1:
+                    raise ArithmeticError(f"e_c(Sym^{k}) has a non-integer coefficient {c}")
+                table = traces.setdefault(channel, {})
+                for ct, v in vec.items():  # i + j <= n: the stratum has weights <= 2n - 2
+                    table.setdefault(ct, [0] * (n + 1))[i + j] += c.numerator * v
+    channels = {k: {ct: sf._trim(p) for ct, p in table.items()} for k, table in traces.items()}
+    return sf.SymSeries._make(max_degree, channels)

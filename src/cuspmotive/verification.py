@@ -163,9 +163,9 @@ def check_composition_invariance(max_degree: int = 14) -> CheckResult:
     return _run("composition-invariance", body)
 
 
-def check_interior(max_degree: int = 14, stratum_max: int = pipeline.MAX_POINTS) -> CheckResult:
+def check_interior(max_degree: int = 14) -> CheckResult:
     def body():
-        for n in range(1, stratum_max + 1):
+        for n in range(1, pipeline.MAX_POINTS + 1):
             ec = genus1_fiber.ec_open_stratum(n)
             _expect(ec.is_weight_symmetric(), f"n={n}: weight table asymmetric")
             euler = ec.identity_trace()
@@ -185,18 +185,18 @@ def check_interior(max_degree: int = 14, stratum_max: int = pipeline.MAX_POINTS)
             else:
                 want = -MotiveClass.cusp(n + 1) - MotiveClass.one()
             _expect(got == want, f"interior at n={n} is {got!r}")
-        return f"stratum sign parts for n <= {stratum_max}; table through n = {max_degree}"
+        return f"stratum sign parts for n <= {pipeline.MAX_POINTS}; table through n = {max_degree}"
 
     return _run("interior", body)
 
 
-def check_alternating_component(n_max: int = pipeline.MAX_POINTS) -> CheckResult:
+def check_alternating_component() -> CheckResult:
     def body():
-        for n in range(2, n_max + 1):
+        for n in range(2, pipeline.MAX_POINTS + 1):
             dims = genus1_fiber.alternating_component(n)
             want = {(n - 1, w): 1 for w in range(-(n - 1), n, 2)}
             _expect(dims == want, f"n={n}: got {dims}")
-        return f"dimension n in degree n-1 with Sym^(n-1) weights, n = 2..{n_max}"
+        return f"dimension n in degree n-1 with Sym^(n-1) weights, n = 2..{pipeline.MAX_POINTS}"
 
     return _run("alternating-component", body)
 
@@ -224,9 +224,9 @@ def check_main_theorem(max_degree: int = 14) -> CheckResult:
     return _run("main-theorem", body)
 
 
-def check_row_bounds(n_max: int = 8) -> CheckResult:
+def check_row_bounds() -> CheckResult:
     def body():
-        for n in range(3, n_max + 1):
+        for n in range(3, 9):
             tables = genus0.poincare_schur(n)
             for i, rep in enumerate(tables):
                 for lam in rep:
@@ -243,7 +243,7 @@ def check_row_bounds(n_max: int = 8) -> CheckResult:
         t5 = genus0.poincare_schur(5)
         rank_h1 = sum(v * character_dimension(l) for l, v in t5[1].items())
         _expect(rank_h1 == 5, f"n=5 H^1 has rank {rank_h1}")
-        return f"constituents of H^i have <= i+1 rows for n <= {n_max}"
+        return "constituents of H^i have <= i+1 rows for n <= 8"
 
     return _run("row-bounds", body)
 
@@ -499,9 +499,9 @@ def _strip_sign_component(f: sf.SymSeries) -> sf.SymSeries:
     return out
 
 
-def property_alt_multiplicative(cases: int = 120, seed: int = 20260817) -> int:
+def property_alt_multiplicative() -> int:
     """Alt(fg) = Alt(f) Alt(g) on random pairs; returns the case count."""
-    rng = random.Random(seed)
+    rng, cases = random.Random(20260817), 120
     for i in range(cases):
         n = rng.randint(3, 6)
         f = _random_series(rng, n, allow_cusp=False)
@@ -512,9 +512,9 @@ def property_alt_multiplicative(cases: int = 120, seed: int = 20260817) -> int:
     return cases
 
 
-def property_sign_free_composition(cases: int = 120, seed: int = 714) -> int:
+def property_sign_free_composition() -> int:
     """For sign-free u: Alt(psi_k(u)) = 0 and Alt(f o (h1+u)) = Alt(f)."""
-    rng = random.Random(seed)
+    rng, cases = random.Random(714), 120
     for i in range(cases):
         n = rng.randint(3, 6)
         u = _strip_sign_component(_random_series(rng, n, min_degree=2))
@@ -530,8 +530,8 @@ def property_sign_free_composition(cases: int = 120, seed: int = 714) -> int:
     return cases
 
 
-def property_plethysm_associative(cases: int = 100, seed: int = 3571) -> int:
-    rng = random.Random(seed)
+def property_plethysm_associative() -> int:
+    rng, cases = random.Random(3571), 100
     for i in range(cases):
         n = rng.randint(3, 5)
         f = _random_series(rng, n)
@@ -543,9 +543,9 @@ def property_plethysm_associative(cases: int = 100, seed: int = 3571) -> int:
     return cases
 
 
-def property_character_orthogonality(n_max: int = 8) -> int:
+def property_character_orthogonality() -> int:
     cases = 0
-    for n in range(2, n_max + 1):
+    for n in range(2, 9):
         parts = partitions_of(n)
         for lam in parts:
             for mu in parts:
@@ -563,15 +563,15 @@ def property_character_orthogonality(n_max: int = 8) -> int:
     return cases
 
 
-def property_schur_strips(cases: int = 100, seed: int = 2813, n_max: int = 12) -> int:
+def property_schur_strips() -> int:
     """``to_schur``, which adds border strips to packed traces, equals the
     per-pair dot products sum_mu chi^lam(mu) c_mu in MotiveClass arithmetic
-    on random series through degree n_max, with cusp channels and
+    on random series through degree 12, with cusp channels and
     denominators; returns the number of series tried."""
-    rng = random.Random(seed)
+    rng, cases = random.Random(2813), 100
     for i in range(cases):
-        f = _random_series(rng, n_max, allow_cusp=True)
-        for n in range(n_max + 1):
+        f = _random_series(rng, 12, allow_cusp=True)
+        for n in range(13):
             terms = f.degree_terms(n)
             want = {}
             for lam in partitions_of(n):
@@ -585,12 +585,12 @@ def property_schur_strips(cases: int = 100, seed: int = 2813, n_max: int = 12) -
     return cases
 
 
-def property_fiber_characters(n_max: int = 7) -> int:
+def property_fiber_characters() -> int:
     """Each (degree, weight) block of the fiber traces is a genuine
     representation: its multiplicities against the irreducible characters
     are non-negative integers, and the identity traces total 4^(n-1)."""
     cases = 0
-    for n in range(2, n_max + 1):
+    for n in range(2, 8):
         parts = partitions_of(n)
         traces = {mu: genus1_fiber.graded_traces(n, mu) for mu in parts}
         dims = traces[Partition((1,) * n)]
@@ -609,10 +609,10 @@ def property_fiber_characters(n_max: int = 7) -> int:
     return cases
 
 
-def property_alt_adams(cases: int = 100, seed: int = 8128) -> int:
+def property_alt_adams() -> int:
     """Alt(p_m o g) = Alt(g).adams(m) on random Tate-only g, through the
     SymSeries plethysm; returns the number of series g tried."""
-    rng = random.Random(seed)
+    rng, cases = random.Random(8128), 100
     for i in range(cases):
         n = rng.randint(3, 6)
         g = _random_series(rng, n, min_degree=1)

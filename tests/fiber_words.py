@@ -3,7 +3,9 @@
 The package computes fiber traces from the exterior-algebra formula in
 ``cuspmotive.genus1_fiber``.  This module is the independent reference
 the tests compare it against: it builds every permutation's action on
-an explicit basis and reads traces off the diagonal.
+an explicit basis and reads traces off the diagonal.  For sizes past the
+reach of that basis, ``product_traces`` multiplies the traces' generating
+function out factor by factor over two-variable (degree, weight) bins.
 
 The open stratum of interest is the complement of the big diagonals in the
 (n-1)-st power of a pointed genus-one curve E: configurations
@@ -232,3 +234,27 @@ def graded_traces(n: int, ct) -> dict:
             key = (word_degree(w), word_weight(w))
             traces[key] = traces.get(key, 0) + d
     return {key: tr for key, tr in traces.items() if tr}
+
+
+def _bin_product(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (d1, w1), c1 in a.items():
+        for (d2, w2), c2 in b.items():
+            key = (d1 + d2, w1 + w2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def product_traces(n: int, ct) -> dict:
+    """The same traces from prod over cycles k of (1 - (-ux)^k)(1 - (-u/x)^k)
+    over (1 + ux)(1 + u/x), one two-variable factor at a time: the first
+    cycle's factor, divided exactly, is sum_(i<k) (-ux)^i, and likewise in u/x."""
+    first, *rest = Partition(ct)
+    if first + sum(rest) != n:
+        raise ValueError("cycle type size mismatch")
+    traces = {(0, 0): 1}
+    for sign in (1, -1):
+        traces = _bin_product(traces, {(i, sign * i): (-1) ** i for i in range(first)})
+        for k in rest:
+            traces = _bin_product(traces, {(0, 0): 1, (k, sign * k): (-1) ** (k + 1)})
+    return traces

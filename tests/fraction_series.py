@@ -12,7 +12,8 @@ recursion of ``tests/character_oracle.py``, whose recursive partition
 generator also orders every table here.  ``log_one_minus`` and
 ``geometric`` come from the power chain of ``tests/power_chain.py``.  On
 top of these sit the oracle routes to a0, b0', the Lie series, the
-boundary series and the Schur tables of the open configuration spaces.
+boundary series, the interior series and the Schur tables of the open
+configuration spaces.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import fraction_counts
 import power_chain
 from character_oracle import character, partitions_of
 
-from cuspmotive import symfunc as sf
+from cuspmotive import genus1_fiber, symfunc as sf
 from cuspmotive.combinatorics import (
     Partition,
     class_sign,
@@ -270,6 +271,19 @@ def correction_series(n: int) -> FractionSeries:
     a0dot = a0_series(n + 2).p_derivative(2)
     psi2 = power_sum(2, n).plethysm(a0pp)
     return (a0dot * a0dot + a0dot + psi2.scaled(Fraction(1, 4))) * geometric(psi2)
+
+
+def interior_small_series(max_degree: int) -> FractionSeries:
+    """sum over the stratum's Sym^k (x) L^j multiplicities v on ct of
+    e_c(Sym^k) L^j v / z_ct p_ct, in MotiveClass and Fraction arithmetic."""
+    terms: dict[Partition, MotiveClass] = {}
+    for n in range(1, max_degree + 1):
+        for (k, j), vec in genus1_fiber.ec_open_stratum(n).sym_multiplicities.items():
+            factor = genus1_fiber.local_system_euler(k) * MotiveClass.lefschetz(j)
+            for ct, v in vec.items():
+                add = factor * Fraction(v, z_of(ct))
+                terms[ct] = terms[ct] + add if ct in terms else add
+    return FractionSeries(max_degree, terms)
 
 
 def poincare_schur(n: int) -> list[dict[Partition, int]]:

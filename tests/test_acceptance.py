@@ -52,13 +52,13 @@ def test_criterion_05_composition_invariance():
 
 def test_criterion_06_interior_pipeline():
     t0 = time.time()
-    result = verification.check_interior(14, stratum_max=20)
+    result = verification.check_interior(14)
     _criterion(6, result, 600, time.time() - t0)
 
 
 def test_criterion_07_alternating_component():
     t0 = time.time()
-    result = verification.check_alternating_component(20)
+    result = verification.check_alternating_component()
     _criterion(7, result, 300, time.time() - t0)
 
 
@@ -70,7 +70,7 @@ def test_criterion_08_main_theorem():
 
 def test_criterion_09_row_bounds():
     t0 = time.time()
-    result = verification.check_row_bounds(8)
+    result = verification.check_row_bounds()
     _criterion(9, result, 60, time.time() - t0)
 
 

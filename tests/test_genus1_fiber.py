@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import fiber_words as fw
+import fraction_series as fs
 import pytest
 import stratum_mobius
 
@@ -186,12 +187,24 @@ def test_graded_traces_identity_gives_dimensions():
                 if fw.word_degree(word) == m and fw.word_weight(word) == w
             )
             assert tr == count
+    for n in range(1, 21):
+        assert fib.graded_traces(n, P(*([1] * n))) == {
+            (a + b, a - b): math.comb(n - 1, a) * math.comb(n - 1, b)
+            for a in range(n)
+            for b in range(n)
+        }
 
 
 def test_graded_traces_match_word_oracle():
     for n in range(1, 7):
         for lam in partitions_of(n):
             assert fib.graded_traces(n, lam) == fw.graded_traces(n, lam)
+
+
+def test_graded_traces_match_two_variable_product():
+    for n in range(1, 15):
+        for lam in partitions_of(n):
+            assert fib.graded_traces(n, lam) == fw.product_traces(n, lam), lam
 
 
 def test_alternating_component_small():
@@ -374,6 +387,32 @@ def test_interior_series_agree_where_both_defined():
     small = fib.interior_small_series(6, n_max)
     exact = fib.interior_exact_series(6)
     assert small.alt() == exact.truncate(n_max).zero_extended(6).alt()
+
+
+def test_interior_small_series_matches_motive_class_route():
+    got = fib.interior_small_series(12)
+    want = fs.interior_small_series(12)
+    assert fs.FractionSeries.of(got) == want
+    assert got == want.to_series()
+
+
+def test_interior_small_series_runs_no_motive_products(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("MotiveClass product on the interior route")
+
+    want = fib.interior_alternating(3)
+    monkeypatch.setattr(MotiveClass, "__mul__", refuse)
+    monkeypatch.setattr(MotiveClass, "__rmul__", refuse)
+    series = fib.interior_small_series(8)
+    assert series.max_degree == 8
+    assert series.alt().coefficient(3) == want
+
+
+def test_interior_small_series_refuses_non_integer_local_systems(monkeypatch):
+    half = MotiveClass.from_rational(Fraction(1, 2))
+    monkeypatch.setattr(fib, "local_system_euler", lambda k: half)
+    with pytest.raises(ArithmeticError):
+        fib.interior_small_series(3)
 
 
 def test_range_guards(capsys):

@@ -185,6 +185,26 @@ def test_cli_json_skips_text_rendering(capsys, monkeypatch):
         cli.main(["a0", "--max-degree", "4"])
 
 
+def test_series_text_sorts_the_keys_at_most_once(monkeypatch):
+    series = genus0.a0_series(12)
+    by_degree = {}
+    for lam, c in series.items():
+        by_degree.setdefault(lam.size, {})[lam] = f"  {cli._partition_name(lam)} -> {c!r}"
+    want = []
+    for n, table in sorted(by_degree.items()):
+        want += [f"degree {n}:"] + [table[lam] for lam in sorted(table)]
+    calls = []
+    keys = sf.SymSeries._keys
+
+    def counted(self):
+        calls.append(None)
+        return keys(self)
+
+    monkeypatch.setattr(sf.SymSeries, "_keys", counted)
+    assert cli._series_lines(series) == want
+    assert len(calls) <= 1
+
+
 def test_theorem_path_builds_no_symseries_derivatives(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the theorem path built a SymSeries derivative or its Alt")

@@ -16,6 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 from functools import cache
 
 # Set partitions of larger ground sets are never needed here and the
@@ -29,7 +30,10 @@ class Partition(tuple):
     def __new__(cls, parts=()):
         if type(parts) is cls:  # immutable and already validated
             return parts
-        parts = tuple(int(p) for p in parts)
+        try:
+            parts = tuple(map(operator.index, parts))
+        except TypeError:  # a float would be truncated and a str parsed
+            raise ValueError(f"partition parts must be integers, got {parts!r}") from None
         for p in parts:
             if p < 1:
                 raise ValueError(f"partition parts must be positive, got {p}")

@@ -261,13 +261,14 @@ def signed_lie(max_degree: int) -> sf.SymSeries:
     """Alternating sum of the sign-twisted Lie characteristics.
 
     sum_n (-1)^(n-3) ch_n(sgn (x) Lie((n))); equals ch_lie with p_k -> -p_k
-    followed by a global sign.
+    followed by a global sign, so the trace on lam flips by (-1)^(rows + 1).
     """
     lie = ch_lie(max_degree)
-    return sf.SymSeries(
-        max_degree,
-        {lam: c * (-1) ** (lam.rows + 1) for lam, c in lie.items()},
-    )
+    traces = {
+        k: {lam: p if lam.rows % 2 else tuple(-c for c in p) for lam, p in ch.items()}
+        for k, ch in lie._traces.items()
+    }
+    return sf.SymSeries._make(max_degree, traces, lie._den)
 
 
 # ---------------------------------------------------------------------------

@@ -10,26 +10,19 @@ Graded traces are therefore products over the cycles of a permutation,
 read off as f(ux) f(u/x) from one list f per cycle type.
 
 The equivariant e_c of the open stratum comes from twisted point counts
-on E, as genus zero's come from counts on P^1 (:func:`ec_open_stratum`);
-the interior series pairs them with e_c of the local systems, on integer channels.
+on E, as genus zero's come from counts on P^1, every n through N from one
+walk (:func:`ec_open_strata`); the interior series pairs them with e_c of
+the local systems, on integer channels.  No table is kept between calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, cached_property
 
 from . import symfunc as sf
-from .combinatorics import (
-    Partition,
-    class_sign,
-    divisors,
-    moebius,
-    partitions_of,
-    z_of,
-)
+from .combinatorics import Partition, class_sign, divisors, moebius, partitions_of, z_of
 from .motive import MotiveClass
 
 
@@ -43,6 +36,23 @@ def _bin_product(a: dict, b: dict) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
+def _fiber_factor(ct: Partition) -> list[int]:
+    """f(a) = sum_(i<ct_1) (-a)^i prod_(k in the rest of ct) (1 - (-a)^k), degree n - 1."""
+    first, *rest = ct
+    f = [(-1) ** i for i in range(first)]
+    for k in rest:  # times 1 - (-a)^k
+        f += [0] * k
+        for i in range(len(f) - 1, k - 1, -1):
+            f[i] -= (-1) ** k * f[i - k]
+    return f
+
+
+def _sign_weights(n: int) -> tuple[int, dict[Partition, int]]:
+    """n! and sgn(lam) n!/z_lam per partition lam of n: n! times the sign projector's weights."""
+    order = math.factorial(n)
+    return order, {lam: class_sign(lam) * (order // z_of(lam)) for lam in partitions_of(n)}
+
+
 @cache
 def graded_traces(n: int, ct) -> dict:
     """Trace of a cycle-type-ct permutation per (degree, weight) block.
@@ -51,18 +61,13 @@ def graded_traces(n: int, ct) -> dict:
     prod over cycles k of (1 - (-ux)^k)(1 - (-u/x)^k), divided by
     (1 + ux)(1 + u/x) to remove the trivial summand of the permutation
     representation.  The division is exact against the first cycle, so the
-    function is f(ux) f(u/x), f(a) = sum_(i<ct_1) (-a)^i prod_(k in the rest
-    of ct) (1 - (-a)^k), and the block (i + j, i - j) carries f_i f_j.
+    function is f(ux) f(u/x) with f from :func:`_fiber_factor`, and the
+    block (i + j, i - j) carries f_i f_j.
     """
     ct = Partition(ct)
     if ct.size != n:
         raise ValueError("cycle type size mismatch")
-    first, *rest = ct
-    f = [(-1) ** i for i in range(first)]
-    for k in rest:  # times 1 - (-a)^k
-        f += [0] * k
-        for i in range(len(f) - 1, k - 1, -1):
-            f[i] -= (-1) ** k * f[i - k]
+    f = _fiber_factor(ct)
     return {(i + j, i - j): a * b for i, a in enumerate(f) if a for j, b in enumerate(f) if b}
 
 
@@ -70,25 +75,25 @@ def alternating_component(n: int) -> dict:
     """Dimensions of the sign-isotypic part per (degree, weight).
 
     Computed as the trace of the exact averaging projector
-    (1/n!) sum sgn(sigma) sigma^*, class by class.
+    (1/n!) sum sgn(sigma) sigma^*, class by class: n! times it is the n x n
+    matrix sum_lam w_lam f_lam(a) f_lam(b), with entry (i, j) on block (i + j, i - j).
     """
     if n < 2:
         raise ValueError("alternating_component needs n >= 2")
-    order = math.factorial(n)
-    acc: dict[tuple[int, int], int] = {}
-    for lam in partitions_of(n):
-        weight = class_sign(lam) * (order // z_of(lam))
-        for key, tr in graded_traces(n, lam).items():
-            acc[key] = acc.get(key, 0) + weight * tr
+    order, weights = _sign_weights(n)
+    acc = [[0] * n for _ in range(n)]
+    for lam, weight in weights.items():
+        f = _fiber_factor(lam)
+        for i, a in enumerate(f):
+            acc[i] = [x + weight * a * b for x, b in zip(acc[i], f)]
     out = {}
-    for key, total in acc.items():
-        v, rem = divmod(total, order)
-        if rem or v < 0:
-            raise RuntimeError(
-                f"projector trace is not a dimension at {key}: {Fraction(total, order)}"
-            )
-        if v:
-            out[key] = v
+    for i, row in enumerate(acc):
+        for j, total in enumerate(row):
+            key, (v, rem) = (i + j, i - j), divmod(total, order)
+            if rem or v < 0:
+                raise RuntimeError(f"projector trace is not a dimension at {key}: {total}/{order}")
+            if v:
+                out[key] = v
     return out
 
 
@@ -110,10 +115,7 @@ class EquivariantClass:
     bins: dict
 
     def is_weight_symmetric(self) -> bool:
-        for (m, w), vec in self.bins.items():
-            if self.bins.get((m, -w), {}) != vec:
-                return False
-        return True
+        return all(self.bins.get((m, -w), {}) == vec for (m, w), vec in self.bins.items())
 
     def identity_trace(self) -> int:
         """Plain e_c of the stratum: the trace table at the identity class."""
@@ -132,19 +134,14 @@ class EquivariantClass:
             if w < 0 or (m - w) % 2:
                 continue
             upper = self.bins.get((m, w + 2), {})
-            diff = {}
-            for ct in set(vec) | set(upper):
-                v = vec.get(ct, 0) - upper.get(ct, 0)
-                if v:
-                    diff[ct] = v
+            diff = {ct: v for ct in vec.keys() | upper if (v := vec.get(ct, 0) - upper.get(ct, 0))}
             if diff:
                 out[(w, (m - w) // 2)] = diff
         return out
 
     def alternating_parts(self) -> dict:
         """Sign multiplicity per Sym^k (x) L^j slot, from :attr:`sym_multiplicities`."""
-        order = math.factorial(self.n)
-        weight = {lam: class_sign(lam) * (order // z_of(lam)) for lam in partitions_of(self.n)}
+        order, weight = _sign_weights(self.n)
         result = {}
         for (k, j), vec in self.sym_multiplicities.items():
             total, rem = divmod(sum(weight[ct] * v for ct, v in vec.items()), order)
@@ -156,46 +153,56 @@ class EquivariantClass:
 
 
 @cache
-def _stratum_count(parts: tuple[int, ...]) -> dict:
-    """Trace of a cycle-type-``parts`` permutation on F(E, n)/E, by bin.
+def _stratum_factor(d: int, t: int, first: bool) -> dict:
+    """d N_d - d t by bin, for a part d after t equal parts; the first part's is divided by #E.
 
-    The smallest part is peeled off, so each prefix's product is built
-    once and shared by every partition that extends it.
+    d N_d = sum_{e | d} mu(d/e) (1 - alpha^e)(1 - alphabar^e) is d times the
+    number of degree-d closed points of E, and #E(F_q) = (1 - alpha)(1 - alphabar).
     """
-    rest, d = parts[:-1], parts[-1]
-    factor = {(0, 0): -d * rest.count(d)}
+    factor = {(0, 0): -d * t}
     for e in divisors(d):
         mu = moebius(d // e)
-        if rest:  # mu (1 - alpha^e)(1 - alphabar^e)
-            terms = {(0, 0): mu, (e, e): -mu, (e, -e): -mu, (2 * e, 0): mu}.items()
-        else:  # the same, divided by (1 - alpha)(1 - alphabar)
+        if first:  # mu (sum_{a<e} alpha^a)(sum_{b<e} alphabar^b)
             terms = (((a + b, a - b), mu) for a in range(e) for b in range(e))
+        else:  # mu (1 - alpha^e)(1 - alphabar^e)
+            terms = {(0, 0): mu, (e, e): -mu, (e, -e): -mu, (2 * e, 0): mu}.items()
         for key, c in terms:
             factor[key] = factor.get(key, 0) + c
-    return _bin_product(_stratum_count(rest) if rest else {(0, 0): 1}, factor)
+    return factor
+
+
+def ec_open_strata(max_points: int) -> dict[int, EquivariantClass]:
+    """Equivariant e_c of the open stratum F(E, n)/E for every n = 1..N.
+
+    With r_d the number of parts of lam equal to d, the trace of a
+    cycle-type-lam permutation is prod_d prod_{t < r_d} (d N_d - d t) / #E(F_q),
+    as E acts freely by translation.  The monomial alpha^i alphabar^j of the
+    Frobenius eigenvalues is the bin (m, w) = (i + j, i - j), with the
+    cohomological signs already folded in.  One depth-first walk gives every
+    trace, as in genus zero: a child appends a part d no larger than the
+    last, and its product is its parent's times d's factor.
+    """
+    strata: dict[int, dict] = {n: {} for n in range(1, max_points + 1)}
+
+    def visit(parts, size, table, run):
+        top = parts[-1] if parts else max_points
+        for d in range(min(top, max_points - size), 0, -1):
+            t = run if d == top else 0
+            child, grown = tuple.__new__(Partition, parts + (d,)), size + d
+            product = _bin_product(table, _stratum_factor(d, t, not parts))
+            for key, c in product.items():
+                strata[grown].setdefault(key, {})[child] = c
+            visit(child, grown, product, t + 1)
+
+    visit((), 0, {(0, 0): 1}, 0)
+    return {n: EquivariantClass(n, bins) for n, bins in strata.items()}
 
 
 def ec_open_stratum(n: int) -> EquivariantClass:
-    """Equivariant e_c of the open stratum F(E, n)/E, by twisted point counts.
-
-    With Frobenius eigenvalues alpha and alphabar of E over F_q,
-    d N_d = sum_{e | d} mu(d/e) (1 - alpha^e)(1 - alphabar^e) is d times
-    the number of degree-d closed points of E.  With r_d the number of
-    parts of lam equal to d, the trace of a cycle-type-lam permutation is
-    prod_d prod_{t < r_d} (d N_d - d t) / ((1 - alpha)(1 - alphabar)), the
-    divisor being #E(F_q), which acts freely by translation.  The division
-    is folded into the factor of the largest part, whose t is 0:
-    sum_{e | d} mu(d/e) (sum_{a<e} alpha^a)(sum_{b<e} alphabar^b).  The
-    monomial alpha^i alphabar^j is the bin (m, w) = (i + j, i - j), with
-    the cohomological signs already folded in.
-    """
+    """Equivariant e_c of the open stratum F(E, n)/E, from :func:`ec_open_strata`."""
     if n < 1:
         raise ValueError("ec_open_stratum needs n >= 1")
-    bins: dict[tuple[int, int], dict[Partition, int]] = {}
-    for lam in partitions_of(n):
-        for key, c in _stratum_count(tuple(lam)).items():
-            bins.setdefault(key, {})[lam] = c
-    return EquivariantClass(n, bins)
+    return ec_open_strata(n)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +260,7 @@ def interior_small_series(max_degree: int, n_max: int | None = None):
     """
     n_max = max_degree if n_max is None else min(n_max, max_degree)
     traces: dict[int, dict[Partition, list]] = {}
-    for n in range(1, n_max + 1):
-        ec = ec_open_stratum(n)
+    for n, ec in ec_open_strata(n_max).items():
         for (k, j), vec in ec.sym_multiplicities.items():
             for (channel, i), c in local_system_euler(k).terms():
                 if c.denominator != 1:

@@ -298,8 +298,18 @@ class MotiveClass:
 
     @classmethod
     def from_json(cls, data: dict) -> "MotiveClass":
-        tate = {int(j): Fraction(c) for j, c in data.get("tate", [])}
-        cusp = {(int(k), int(j)): Fraction(c) for k, j, c in data.get("cusp", [])}
+        """The class of a :meth:`to_json` document; the constructor checks its keys."""
+
+        def exact(c) -> Fraction:
+            if isinstance(c, float):  # Fraction(c) would be its binary approximation
+                raise ValueError(f"coefficients must be exact, got the float {c!r}")
+            return Fraction(c)
+
+        tate_items, cusp_items = data.get("tate", []), data.get("cusp", [])
+        tate = {j: exact(c) for j, c in tate_items}
+        cusp = {(k, j): exact(c) for k, j, c in cusp_items}
+        if len(tate) < len(tate_items) or len(cusp) < len(cusp_items):  # 1 and 1.0 collide too
+            raise ValueError("a Tate twist or cusp symbol is listed twice")
         return cls(tate=tate, cusp=cusp)
 
     # -- display ------------------------------------------------------

@@ -55,6 +55,7 @@ truncation.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import cache
 
@@ -767,7 +768,9 @@ class SymSeries(TruncatedSeries):
             Partition(entry["partition"]): MotiveClass.from_json(entry["coeff"])
             for entry in data["terms"]
         }
-        return cls(data["max_degree"], terms)
+        if len(terms) < len(data["terms"]):
+            raise ValueError("a partition is listed twice")
+        return cls(operator.index(data["max_degree"]), terms)
 
 
 class AltSeries(TruncatedSeries):

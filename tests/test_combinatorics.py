@@ -38,6 +38,14 @@ def test_partition_validation():
         Partition((2, 0))
 
 
+def test_partition_refuses_non_integer_parts():
+    """A float part is not truncated and a str part is not parsed."""
+    for bad in ([2.7], [2.0], [3, 1.5], ["3"], "3", [None]):
+        with pytest.raises(ValueError, match="integers"):
+            Partition(bad)
+    assert Partition([True]) == (1,)
+
+
 def test_partition_accessors():
     lam = Partition((4, 2, 2, 1))
     assert lam.rows == 4

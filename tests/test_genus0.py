@@ -199,6 +199,15 @@ def test_signed_lie_closed_form():
     assert signed == closed
 
 
+def test_signed_lie_is_the_coefficientwise_sign_flip():
+    """signed_lie, built on traces, against the coefficient route that
+    flips each p_lam of ch_lie by (-1)^(rows + 1)."""
+    for n in range(3, 13):
+        lie = genus0.ch_lie(n)
+        want = sf.SymSeries(n, {lam: c * (-1) ** (lam.rows + 1) for lam, c in lie.items()})
+        assert genus0.signed_lie(n) == want
+
+
 def test_signed_lie_derivative_identities():
     n = 9
     signed = genus0.signed_lie(n)

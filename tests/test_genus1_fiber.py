@@ -1,8 +1,13 @@
+import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 
 import fiber_words as fw
 import fraction_series as fs
@@ -213,6 +218,17 @@ def test_alternating_component_small():
         assert dims == {(n - 1, w): 1 for w in range(-(n - 1), n, 2)}
 
 
+def test_alternating_component_reads_no_graded_traces(monkeypatch):
+    """The sign component sums one-variable lists, never the two-variable tables."""
+
+    def refuse(n, ct):
+        raise AssertionError("alternating_component read graded_traces")
+
+    monkeypatch.setattr(fib, "graded_traces", refuse)
+    for n in range(2, 13):
+        assert fib.alternating_component(n) == {(n - 1, w): 1 for w in range(-(n - 1), n, 2)}
+
+
 def _projector_rank(n, m, w):
     """Rank of the sign projector on the (degree, weight) block, by
     exact Gaussian elimination over the rationals."""
@@ -273,8 +289,50 @@ def test_ec_open_stratum_two_points_frozen():
 
 
 def test_ec_open_stratum_matches_mobius_oracle():
+    strata = fib.ec_open_strata(7)
     for n in range(1, 8):
-        assert fib.ec_open_stratum(n).bins == stratum_mobius.stratum_bins(n)
+        assert fib.ec_open_stratum(n).bins == strata[n].bins == stratum_mobius.stratum_bins(n)
+
+
+def test_ec_open_strata_walk_every_n_at_once():
+    strata = fib.ec_open_strata(12)
+    assert list(strata) == list(range(1, 13))
+    for n, ec in strata.items():
+        assert ec == fib.ec_open_stratum(n)
+    assert fib.ec_open_strata(0) == {}
+
+
+def test_open_stratum_json_bytes_at_12_points_are_pinned(tmp_path):
+    """``open-stratum -n 12 --json`` as the per-partition cache wrote it, byte for byte."""
+    out = tmp_path / "stratum.json"
+    assert cli.main(["open-stratum", "-n", "12", "--json", "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert len(data) == 236511
+    assert hashlib.sha256(data).hexdigest() == (
+        "dfeb21966c6186cd89de26e13f6fb96e580b1e4ae4087badcbaca5c58126ebad"
+    )
+
+
+def test_interior_checks_keep_no_tables():
+    """Criteria 6 and 7 in a fresh process peak well under the 159 MiB that
+    the per-partition stratum cache and the two-variable fiber tables took."""
+    script = (
+        "import resource, sys\n"
+        "from cuspmotive import verification as v\n"
+        "assert v.check_interior(14).passed and v.check_alternating_component().passed\n"
+        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(peak / 2**20 if sys.platform == 'darwin' else peak / 2**10)\n"
+    )
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert float(proc.stdout) < 110, f"peak RSS {proc.stdout.strip()} MiB"
 
 
 def test_ec_open_stratum_traces():

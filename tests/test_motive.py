@@ -167,6 +167,29 @@ def test_json_round_trip():
         assert MotiveClass.from_json(x.to_json()) == x
 
 
+def test_from_json_refuses_non_integer_keys_and_float_coefficients():
+    """The reader leaves key checks to the constructor, refuses a float
+    coefficient, whose Fraction would be its binary approximation, and
+    refuses a key listed twice, which a dict would silently collapse."""
+    for doc in (
+        {"tate": [[1.5, "1/1"]]},
+        {"tate": [[1.0, "1"]]},
+        {"tate": [["1", "1"]]},
+        {"cusp": [[12.9, 0.5, "1"]]},
+        {"cusp": [[12, 0.5, "1"]]},
+        {"tate": [[1, 0.5]]},
+        {"cusp": [[12, 0, 0.1]]},
+        {"tate": [[1, "1"], [1.0, "2"]]},
+        {"tate": [[1, "1"], [1, "2"]]},
+        {"cusp": [[12, 0, "1"], [12, 0, "1"]]},
+    ):
+        with pytest.raises(ValueError):
+            MotiveClass.from_json(doc)
+    doc = {"tate": [[1, 2], [0, "-1/2"], [2, "0.25"]], "cusp": [[12, 1, 3]]}
+    want = 2 * L - Fraction(1, 2) * ONE + Fraction(1, 4) * L**2 + 3 * MotiveClass.cusp(12, 1)
+    assert MotiveClass.from_json(doc) == want
+
+
 def test_repr_is_readable():
     assert repr(L**2 + 3 * ONE) == "L^2 + 3"
     assert repr(-MotiveClass.cusp(12) - ONE) == "-S[12] - 1"

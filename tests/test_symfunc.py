@@ -419,6 +419,25 @@ def test_json_round_trips():
     assert alt_doc["max_degree"] == 4
 
 
+def test_from_json_refuses_non_integer_partitions():
+    def doc(partition, coeff="1/2"):
+        term = {"degree": 2, "partition": partition, "coeff": {"tate": [[0, coeff]], "cusp": []}}
+        return {"max_degree": 3, "basis": "power", "terms": [term]}
+
+    assert sf.SymSeries.from_json(doc([2])) == sf.power_sum(2, 3).scaled(Fraction(1, 2))
+    for bad in ([2.7], [2.0], ["2"], [1, 0.5]):
+        with pytest.raises(ValueError):
+            sf.SymSeries.from_json(doc(bad))
+    with pytest.raises(ValueError):
+        sf.SymSeries.from_json(doc([2], 0.5))
+    twice = doc([2])
+    twice["terms"] *= 2
+    with pytest.raises(ValueError):
+        sf.SymSeries.from_json(twice)
+    with pytest.raises(TypeError):
+        sf.SymSeries.from_json({**doc([2]), "max_degree": 3.5})
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)

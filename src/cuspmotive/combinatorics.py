@@ -4,6 +4,10 @@ Partitions of n are listed by the loop-free algorithm ZS1 (Zoghbi and
 Stojmenovic, "Fast algorithms for generating integer partitions", 1998),
 and chi^lam(mu) by Murnaghan-Nakayama on a bead bitmask of lam.
 
+A product with one factor per part, such as a twisted point count on P^1
+or on E, is read off :func:`prefix_walk`, one depth-first walk of every
+partition of size 1..N that folds one more part into each prefix.
+
 Conventions used throughout the package:
 
 * partitions are weakly decreasing tuples of positive integers;
@@ -85,6 +89,29 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
                 x[h] = t
         out.append(new(Partition, x[:m]))
     return tuple(out)
+
+
+def prefix_walk(max_size: int, step, root):
+    """Yield (lam, |lam|, value) for every partition lam of size 1..N, depth first.
+
+    A child appends a part d no larger than its parent's last, largest d
+    first, so each size comes in the order of :func:`partitions_of`.  Its
+    value is ``step(parent value, d, t, parent size)``, with t the number
+    of parts equal to d in the parent; the empty partition's is ``root``.
+    Only the values along the current prefix are held.
+    """
+    parts, stack, value, run, size, d = [], [], root, 0, 0, max_size
+    while d > 0 or parts:
+        if d > 0:  # descend to the child that appends d
+            t = run if parts and parts[-1] == d else 0
+            stack.append((value, run, size))
+            value, run, size = step(value, d, t, size), t + 1, size + d
+            parts.append(d)
+            yield tuple.__new__(Partition, parts), size, value
+            d = min(d, max_size - size)
+        else:  # back up to the next smaller sibling
+            value, run, size = stack.pop()
+            d = parts.pop() - 1
 
 
 def z_of(lam) -> int:

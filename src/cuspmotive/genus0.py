@@ -23,8 +23,8 @@ being misused and raises immediately.
 
 The series :func:`a0_series` is stored by exactly these traces, integer
 polynomials, so building it makes no Fraction (:mod:`~cuspmotive.symfunc`).
-They come from one depth-first walk of the partitions, each node a
-prefix that carries its product and each child one more factor.  The
+They come from :func:`~cuspmotive.combinatorics.prefix_walk`, each node
+a prefix that carries its product and each child one more factor.  The
 division happens where a prefix first reaches size 3, 21 times at
 N = 20 for 2,710 traces; below such a node a quotient times a factor is
 the child's trace.  :func:`twisted_count_poly` is the second route, one
@@ -52,7 +52,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import symfunc as sf
-from .combinatorics import Partition, divisors, moebius, partitions_of
+from .combinatorics import Partition, divisors, moebius, partitions_of, prefix_walk
 
 # Polynomials in q are tuples of integer coefficients, constant term first.
 
@@ -112,31 +112,10 @@ def twisted_count_poly(lam) -> tuple[int, ...]:
     return _divide_by_q3_minus_q(num)
 
 
-def _walked_traces(max_degree: int) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """The trace of every partition of size 3..N, from one depth-first walk.
-
-    A node is a weakly decreasing tuple of parts and carries its product
-    of factors; a child appends a part d no larger than the last, so the
-    t of its factor is the run of d ending the parent.  The product is
-    divided by q^3 - q where a prefix first reaches size 3, and from
-    there on each child's trace is its parent's trace times the factor.
-    """
-    traces = {}
-
-    def visit(parts, size, poly, run):
-        top = parts[-1] if parts else max_degree
-        for d in range(min(top, max_degree - size), 0, -1):
-            t = run if d == top else 0
-            child, grown = parts + (d,), size + d
-            p = sf._poly_mul(_point_factor(d, t), poly)
-            if grown >= 3:
-                if size < 3:
-                    p = _divide_by_q3_minus_q(p)
-                traces[child] = p
-            visit(child, grown, p, t + 1)
-
-    visit((), 0, (1,), 0)
-    return traces
+def _trace_step(poly, d: int, t: int, size: int) -> tuple[int, ...]:
+    """One more part d on a prefix of the given size; divided where the size first reaches 3."""
+    poly = sf._poly_mul(_point_factor(d, t), poly)
+    return _divide_by_q3_minus_q(poly) if size < 3 <= size + d else poly
 
 
 @cache
@@ -148,11 +127,9 @@ def a0_series(max_degree: int) -> sf.SymSeries:
     """
     if max_degree < 3:
         raise ValueError("max_degree must be >= 3")
-    walked = _walked_traces(max_degree)
-    return sf.SymSeries._make(
-        max_degree,
-        {0: {lam: walked[lam] for n in range(3, max_degree + 1) for lam in partitions_of(n)}},
-    )
+    walked = {lam: p for lam, _, p in prefix_walk(max_degree, _trace_step, (1,))}
+    keys = (lam for n in range(3, max_degree + 1) for lam in partitions_of(n))
+    return sf.SymSeries._make(max_degree, {0: {lam: walked[lam] for lam in keys}})
 
 
 @cache

@@ -10,9 +10,9 @@ Graded traces are therefore products over the cycles of a permutation,
 read off as f(ux) f(u/x) from one list f per cycle type.
 
 The equivariant e_c of the open stratum comes from twisted point counts
-on E, as genus zero's come from counts on P^1, every n through N from one
-walk (:func:`ec_open_strata`); the interior series pairs them with e_c of
-the local systems, on integer channels.  No table is kept between calls.
+on E, off the same partition walk as genus zero's counts on P^1; the
+interior series pairs them with e_c of the local systems, on integer
+channels.  No table is kept between calls.
 """
 
 from __future__ import annotations
@@ -22,18 +22,8 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from . import symfunc as sf
-from .combinatorics import Partition, class_sign, divisors, moebius, partitions_of, z_of
+from .combinatorics import Partition, class_sign, divisors, moebius, partitions_of, prefix_walk, z_of
 from .motive import MotiveClass
-
-
-def _bin_product(a: dict, b: dict) -> dict:
-    """Product of two tables keyed by (degree, weight) bins, whose keys add."""
-    out: dict = {}
-    for (d1, w1), c1 in a.items():
-        for (d2, w2), c2 in b.items():
-            key = (d1 + d2, w1 + w2)
-            out[key] = out.get(key, 0) + c1 * c2
-    return {key: c for key, c in out.items() if c}
 
 
 def _fiber_factor(ct: Partition) -> list[int]:
@@ -171,38 +161,43 @@ def _stratum_factor(d: int, t: int, first: bool) -> dict:
     return factor
 
 
-def ec_open_strata(max_points: int) -> dict[int, EquivariantClass]:
-    """Equivariant e_c of the open stratum F(E, n)/E for every n = 1..N.
+def _stratum_step(table: dict, d: int, t: int, size: int) -> dict:
+    """A prefix's table times the factor of one more part d; (degree, weight) bins add."""
+    out, factor = {}, _stratum_factor(d, t, size == 0).items()
+    for (d1, w1), c1 in table.items():
+        for (d2, w2), c2 in factor:
+            key = (d1 + d2, w1 + w2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def _open_strata(max_points: int, sizes) -> dict[int, EquivariantClass]:
+    """The strata of the given sizes, from one walk through max_points; no other size is stored.
 
     With r_d the number of parts of lam equal to d, the trace of a
     cycle-type-lam permutation is prod_d prod_{t < r_d} (d N_d - d t) / #E(F_q),
     as E acts freely by translation.  The monomial alpha^i alphabar^j of the
     Frobenius eigenvalues is the bin (m, w) = (i + j, i - j), with the
-    cohomological signs already folded in.  One depth-first walk gives every
-    trace, as in genus zero: a child appends a part d no larger than the
-    last, and its product is its parent's times d's factor.
+    cohomological signs already folded in.
     """
-    strata: dict[int, dict] = {n: {} for n in range(1, max_points + 1)}
-
-    def visit(parts, size, table, run):
-        top = parts[-1] if parts else max_points
-        for d in range(min(top, max_points - size), 0, -1):
-            t = run if d == top else 0
-            child, grown = tuple.__new__(Partition, parts + (d,)), size + d
-            product = _bin_product(table, _stratum_factor(d, t, not parts))
-            for key, c in product.items():
-                strata[grown].setdefault(key, {})[child] = c
-            visit(child, grown, product, t + 1)
-
-    visit((), 0, {(0, 0): 1}, 0)
+    strata: dict[int, dict] = {n: {} for n in sizes}
+    for lam, n, table in prefix_walk(max_points, _stratum_step, {(0, 0): 1}):
+        if n in strata:
+            for key, c in table.items():
+                strata[n].setdefault(key, {})[lam] = c
     return {n: EquivariantClass(n, bins) for n, bins in strata.items()}
 
 
+def ec_open_strata(max_points: int) -> dict[int, EquivariantClass]:
+    """Equivariant e_c of the open stratum F(E, n)/E for every n = 1..N, from one walk."""
+    return _open_strata(max_points, range(1, max_points + 1))
+
+
 def ec_open_stratum(n: int) -> EquivariantClass:
-    """Equivariant e_c of the open stratum F(E, n)/E, from :func:`ec_open_strata`."""
+    """Equivariant e_c of the open stratum F(E, n)/E, keeping only size n of the walk."""
     if n < 1:
         raise ValueError("ec_open_stratum needs n >= 1")
-    return ec_open_strata(n)[n]
+    return _open_strata(n, (n,))[n]
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,7 @@ class TruncatedSeries:
 
     def _setup(self, max_degree: int, traces: dict, den: int) -> None:
         """Store traces in normal form: no zero trace, no empty channel, D coprime to them."""
+        max_degree = operator.index(max_degree)  # a float or a str is a TypeError
         if max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
         clean = {}
@@ -770,7 +771,7 @@ class SymSeries(TruncatedSeries):
         }
         if len(terms) < len(data["terms"]):
             raise ValueError("a partition is listed twice")
-        return cls(operator.index(data["max_degree"]), terms)
+        return cls(data["max_degree"], terms)
 
 
 class AltSeries(TruncatedSeries):

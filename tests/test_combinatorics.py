@@ -20,6 +20,7 @@ from cuspmotive.combinatorics import (
     moebius,
     partitions_of,
     perm_from_cycle_type,
+    prefix_walk,
     set_partitions_of,
     stable_set_partitions,
     z_of,
@@ -92,6 +93,31 @@ def test_partitions_match_recursive_oracle():
         parts = partitions_of(n)
         assert parts == oracle.partitions_of(n), n
         assert all(type(lam) is Partition for lam in parts), n
+
+
+def test_prefix_walk_yields_every_partition_once_in_partitions_of_order():
+    n_max, calls = 14, []
+    walked = [(lam, n) for lam, n, _ in prefix_walk(n_max, lambda *a: calls.append(a), None)]
+    assert len(walked) == len(calls) == sum(len(partitions_of(n)) for n in range(1, n_max + 1))
+    assert len({lam for lam, _ in walked}) == len(walked)
+    assert all(type(lam) is Partition and lam.size == n for lam, n in walked)
+    for n in range(1, n_max + 1):
+        assert [lam for lam, size in walked if size == n] == list(partitions_of(n)), n
+    assert list(prefix_walk(0, lambda *a: None, None)) == []
+
+
+def test_prefix_walk_value_is_a_fold_of_step_over_the_parts():
+    """Each value is the root with step applied part by part, t counting
+    the equal parts before and size the parts before."""
+
+    def step(value, d, t, size):
+        return value + ((d, t, size),)
+
+    for lam, n, value in prefix_walk(12, step, ("root",)):
+        want, size = ("root",), 0
+        for i, d in enumerate(lam):
+            want, size = step(want, d, lam[:i].count(d), size), size + d
+        assert value == want and size == n, lam
 
 
 def test_z_and_class_size():

@@ -313,15 +313,21 @@ def test_open_stratum_json_bytes_at_12_points_are_pinned(tmp_path):
     )
 
 
-def test_interior_checks_keep_no_tables():
-    """Criteria 6 and 7 in a fresh process peak well under the 159 MiB that
-    the per-partition stratum cache and the two-variable fiber tables took."""
-    script = (
+def _fresh_peak_mib(body: str) -> float:
+    """Run ``body`` in a fresh interpreter and return its peak RSS in MiB.
+
+    On Linux ``ru_maxrss`` starts from the high-water mark of the image
+    that exec replaced, which a spawned child shares with the test runner,
+    so the new image's own VmHWM is read from /proc where it exists.
+    """
+    script = body + (
         "import resource, sys\n"
-        "from cuspmotive import verification as v\n"
-        "assert v.check_interior(14).passed and v.check_alternating_component().passed\n"
-        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "print(peak / 2**20 if sys.platform == 'darwin' else peak / 2**10)\n"
+        "try:\n"
+        "    status = open('/proc/self/status').read()\n"
+        "    print(int(status.split('VmHWM:')[1].split()[0]) / 2**10)\n"
+        "except OSError:\n"
+        "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "    print(peak / 2**20 if sys.platform == 'darwin' else peak / 2**10)\n"
     )
     src = Path(cli.__file__).resolve().parent.parent
     proc = subprocess.run(
@@ -332,7 +338,32 @@ def test_interior_checks_keep_no_tables():
         check=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert float(proc.stdout) < 110, f"peak RSS {proc.stdout.strip()} MiB"
+    return float(proc.stdout)
+
+
+def test_open_stratum_json_at_20_points_is_pinned_and_keeps_one_level(tmp_path):
+    """``open-stratum -n 20 --json`` in a fresh process writes the 7,514,925
+    bytes that the all-levels walk wrote, and peaks under the 90 MiB that
+    holding the tables of every n <= 20 took."""
+    out = tmp_path / "stratum.json"
+    argv = ["open-stratum", "-n", "20", "--json", "--out", str(out)]
+    peak = _fresh_peak_mib(f"from cuspmotive import cli\nassert cli.main({argv!r}) == 0\n")
+    data = out.read_bytes()
+    assert len(data) == 7514925
+    assert hashlib.sha256(data).hexdigest() == (
+        "e0fb82cbb1727222db8450aac59f9ba5c6073b0794f2993eeade64091c7a880d"
+    )
+    assert peak < 84, f"peak RSS {peak} MiB"
+
+
+def test_interior_checks_keep_no_tables():
+    """Criteria 6 and 7 in a fresh process peak well under the 159 MiB that
+    the per-partition stratum cache and the two-variable fiber tables took."""
+    peak = _fresh_peak_mib(
+        "from cuspmotive import verification as v\n"
+        "assert v.check_interior(14).passed and v.check_alternating_component().passed\n"
+    )
+    assert peak < 110, f"peak RSS {peak} MiB"
 
 
 def test_ec_open_stratum_traces():

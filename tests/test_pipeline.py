@@ -9,7 +9,7 @@ from pathlib import Path
 import fraction_series as fs
 import pytest
 
-from cuspmotive import cli, genus0, genus1_boundary, pipeline, symfunc as sf
+from cuspmotive import cli, genus0, genus1_boundary, genus1_fiber, pipeline, symfunc as sf
 from cuspmotive.motive import L, ONE, MotiveClass
 
 
@@ -229,6 +229,8 @@ def test_theorem_path_walks_no_partitions(monkeypatch):
     genus0._alt_product_layer.cache_clear()
     monkeypatch.setattr(genus0, "partitions_of", refuse)
     monkeypatch.setattr(genus0, "twisted_count_poly", refuse)
+    monkeypatch.setattr(genus0, "prefix_walk", refuse)
+    monkeypatch.setattr(genus1_fiber, "prefix_walk", refuse)
     for n in range(1, pipeline.MAX_POINTS + 1):
         assert pipeline.main_theorem(n).total == pipeline.expected_total(n)
 
@@ -285,6 +287,14 @@ def test_cli_a0_schur_json_bytes_at_degree_20_are_pinned(tmp_path):
     assert hashlib.sha256(data).hexdigest() == (
         "3cb6969e9191a5e2fc7dd9ee3d8aaa85bf9472d6e64fe803f423e0b8d8537a82"
     )
+
+
+def test_cli_out_to_an_unwritable_path_is_an_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert cli.main(["motive", "-n", "3", "--json", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    assert captured.out == "" and not out.parent.exists()
 
 
 def test_cli_builds_one_parser_per_process(capsys, monkeypatch):

@@ -419,6 +419,17 @@ def test_json_round_trips():
     assert alt_doc["max_degree"] == 4
 
 
+def test_truncation_must_be_an_integer():
+    """A float or a string is refused as a truncation, for both series types,
+    instead of being stored and printed as the degree."""
+    for cls, bad in ((sf.SymSeries, 3.5), (sf.AltSeries, 2.5), (sf.SymSeries, "3")):
+        with pytest.raises(TypeError):
+            cls(bad)
+        with pytest.raises(TypeError):
+            cls._make(bad, {})
+    assert sf.SymSeries(3).max_degree == 3 and sf.AltSeries(2).max_degree == 2
+
+
 def test_from_json_refuses_non_integer_partitions():
     def doc(partition, coeff="1/2"):
         term = {"degree": 2, "partition": partition, "coeff": {"tate": [[0, coeff]], "cusp": []}}

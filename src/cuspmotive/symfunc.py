@@ -356,6 +356,8 @@ class TruncatedSeries:
 
     def coefficient(self, key) -> MotiveClass:
         key = self._key(key)
+        if not 0 <= self._size(key) <= self.max_degree:
+            raise ValueError(f"degree {self._size(key)} beyond truncation {self.max_degree}")
         channels = {k: ch[key] for k, ch in self._traces.items() if key in ch}
         return _motive(channels, self._weight(key) * self._den)
 
@@ -784,13 +786,8 @@ class AltSeries(TruncatedSeries):
 
     __slots__ = ()
     _UNIT_KEY = 0
-    _key = _size = int
+    _key = _size = operator.index  # a float or a str is a TypeError
     _weight = staticmethod(lambda n: 1)
-
-    def coefficient(self, n: int) -> MotiveClass:
-        if n > self.max_degree:
-            raise ValueError(f"degree {n} beyond truncation {self.max_degree}")
-        return super().coefficient(n)
 
     def adams(self, m: int) -> "AltSeries":
         """Alt(p_m o g) from Alt(g) for a Tate-only g.

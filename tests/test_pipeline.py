@@ -185,6 +185,30 @@ def test_cli_json_skips_text_rendering(capsys, monkeypatch):
         cli.main(["a0", "--max-degree", "4"])
 
 
+def test_cli_text_skips_json_only_work(capsys, monkeypatch):
+    """The mirror of the test above: a text form builds nothing that only
+    ``--json`` prints, such as the equivariant boundary sum."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the text form built a JSON-only value")
+
+    monkeypatch.setattr(genus1_boundary, "boundary_sum", refuse)
+    monkeypatch.setattr(sf.SymSeries, "to_json", refuse)
+    monkeypatch.setattr(cli, "_stratum_json", refuse)
+    for argv in (
+        ["boundary", "--max-degree", "6"],
+        ["a0", "--max-degree", "5", "--basis", "schur"],
+        ["b0prime", "--max-degree", "4"],
+        ["lie", "--max-degree", "5", "--signed"],
+        ["necklace", "--max-degree", "5"],
+        ["open-stratum", "-n", "4"],
+    ):
+        assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().out.strip(), argv
+    with pytest.raises(AssertionError):
+        cli.main(["boundary", "--max-degree", "6", "--json"])
+
+
 def test_series_text_sorts_the_keys_at_most_once(monkeypatch):
     series = genus0.a0_series(12)
     by_degree = {}

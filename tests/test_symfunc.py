@@ -430,6 +430,22 @@ def test_truncation_must_be_an_integer():
     assert sf.SymSeries(3).max_degree == 3 and sf.AltSeries(2).max_degree == 2
 
 
+def test_keys_are_integers_and_coefficients_stay_in_the_truncation():
+    """A float or str degree is refused, not truncated, and a coefficient
+    outside degrees 0..max_degree is an error, not 0, for both series types."""
+    for bad in ({2.5: 1}, {"3": 2}, {2.0: 1}):
+        with pytest.raises(TypeError):
+            sf.AltSeries(5, bad)
+    alt = sf.AltSeries(4, {1: L, 4: ONE})
+    assert alt.coefficient(4) == ONE and alt.coefficient(0).is_zero()
+    a0 = genus0.a0_series(4)
+    assert a0.coefficient(P(2, 2)) == genus0.a0_series(5).coefficient(P(2, 2))
+    assert sf.SymSeries(3).coefficient(()).is_zero()
+    for series, key in ((alt, 5), (alt, -1), (a0, P(3, 2)), (sf.SymSeries(3), P(2, 2))):
+        with pytest.raises(ValueError, match="beyond truncation"):
+            series.coefficient(key)
+
+
 def test_from_json_refuses_non_integer_partitions():
     def doc(partition, coeff="1/2"):
         term = {"degree": 2, "partition": partition, "coeff": {"tate": [[0, coeff]], "cusp": []}}

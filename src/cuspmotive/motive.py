@@ -298,16 +298,23 @@ class MotiveClass:
 
     @classmethod
     def from_json(cls, data: dict) -> "MotiveClass":
-        """The class of a :meth:`to_json` document; the constructor checks its keys."""
+        """The class of a :meth:`to_json` document; the constructor checks its
+        keys, after a JSON true or false, which would read as 1 or 0, is refused."""
+
+        def key(x):
+            if isinstance(x, bool):
+                raise ValueError(f"Tate twists and cusp weights must be integers, got {x!r}")
+            return x
 
         def exact(c) -> Fraction:
-            if isinstance(c, float):  # Fraction(c) would be its binary approximation
-                raise ValueError(f"coefficients must be exact, got the float {c!r}")
+            # Fraction(c) would be a float's binary approximation, or 1 or 0 for a bool
+            if isinstance(c, (float, bool)):
+                raise ValueError(f"coefficients must be exact numbers, got {c!r}")
             return Fraction(c)
 
         tate_items, cusp_items = data.get("tate", []), data.get("cusp", [])
-        tate = {j: exact(c) for j, c in tate_items}
-        cusp = {(k, j): exact(c) for k, j, c in cusp_items}
+        tate = {key(j): exact(c) for j, c in tate_items}
+        cusp = {(key(k), key(j)): exact(c) for k, j, c in cusp_items}
         if len(tate) < len(tate_items) or len(cusp) < len(cusp_items):  # 1 and 1.0 collide too
             raise ValueError("a Tate twist or cusp symbol is listed twice")
         return cls(tate=tate, cusp=cusp)

@@ -767,8 +767,17 @@ class SymSeries(TruncatedSeries):
     def from_json(cls, data: dict) -> "SymSeries":
         if data.get("basis", "power") != "power":
             raise ValueError("only power-basis series can be read back")
+
+        # JSON true and false would read as 1 and 0: refused with the error a float gets
+        def partition(parts) -> Partition:
+            if isinstance(parts, (list, tuple)) and any(isinstance(x, bool) for x in parts):
+                raise ValueError(f"partition parts must be integers, got {parts!r}")
+            return Partition(parts)
+
+        if isinstance(data["max_degree"], bool):
+            raise TypeError(f"max_degree must be an integer, got {data['max_degree']!r}")
         terms = {
-            Partition(entry["partition"]): MotiveClass.from_json(entry["coeff"])
+            partition(entry["partition"]): MotiveClass.from_json(entry["coeff"])
             for entry in data["terms"]
         }
         if len(terms) < len(data["terms"]):

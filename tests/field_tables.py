@@ -1,53 +1,11 @@
-"""Finite fields by tabulating powers of x: the test oracle.
+"""Frobenius orbits on exponents by stepping: the test oracle.
 
-``cuspmotive.verification`` certifies a modulus f of GF(p^k) = F_p[x]/(f)
-by checking that x has order exactly p^k - 1 with a few powers computed by
-square-and-multiply.  This module is the direct reference: it multiplies
-by x, one shift-and-reduce at a time, through every power, and accepts f
-only when it sees p^k - 1 distinct nonzero powers before returning to 1.
-
-A modulus is given by its low coefficients ``tail``, so that
-f = x^k + sum_i tail[i] x^i.  The points of exact degree d over F_(p^e)
-are listed by stepping Frobenius from each discrete logarithm in turn,
-where the package walks each orbit once.
+A nonzero element of GF(p^k) is g^i for a generator g of the cyclic
+group GF(p^k)^*, and Frobenius over F_(p^e) sends the exponent i to i q,
+q = p^e.  ``cuspmotive.verification`` walks each orbit once; this module
+steps Frobenius from every exponent in turn and takes the least exponent
+it meets as the orbit's name.
 """
-
-from __future__ import annotations
-
-from itertools import product
-
-
-def exponent_table(p: int, tail) -> tuple[tuple[int, ...], ...] | None:
-    """Powers x^0 .. x^(p^k - 2) modulo f, or None when x is not primitive."""
-    k = len(tail)
-    order = p**k - 1
-    one = (1,) + (0,) * (k - 1)
-
-    def times_x(cur):
-        head = cur[-1]
-        cur = (0,) + cur[:-1]
-        if head:
-            cur = tuple((c - head * t) % p for c, t in zip(cur, tail))
-        return cur
-
-    table = [one]
-    cur = one
-    for _ in range(order - 1):
-        cur = times_x(cur)
-        if cur == one:
-            return None
-        table.append(cur)
-    if times_x(cur) != one or len(set(table)) != order:
-        return None
-    return tuple(table)
-
-
-def first_primitive_modulus(p: int, k: int) -> tuple[int, ...]:
-    """The first tail, in the package's search order, that the table accepts."""
-    for tail in product(range(p), repeat=k):
-        if tail[0] and exponent_table(p, tail) is not None:
-            return tail
-    raise RuntimeError(f"no generator found for GF({p}^{k})")
 
 
 def frobenius_point_ids(p: int, e: int, d: int):

@@ -169,9 +169,14 @@ def test_json_round_trip():
 
 def test_from_json_refuses_non_integer_keys_and_float_coefficients():
     """The reader leaves key checks to the constructor, refuses a float
-    coefficient, whose Fraction would be its binary approximation, and
-    refuses a key listed twice, which a dict would silently collapse."""
+    coefficient, whose Fraction would be its binary approximation, a JSON
+    true or false as a key or a coefficient, which would read as 1 or 0, and
+    a key listed twice, which a dict would silently collapse."""
     for doc in (
+        {"tate": [[True, "1/2"]], "cusp": []},
+        {"tate": [], "cusp": [[12, False, 1]]},
+        {"tate": [], "cusp": [[True, 0, 1]]},
+        {"tate": [[0, True]], "cusp": []},
         {"tate": [[1.5, "1/1"]]},
         {"tate": [[1.0, "1"]]},
         {"tate": [["1", "1"]]},

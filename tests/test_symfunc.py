@@ -452,7 +452,7 @@ def test_from_json_refuses_non_integer_partitions():
         return {"max_degree": 3, "basis": "power", "terms": [term]}
 
     assert sf.SymSeries.from_json(doc([2])) == sf.power_sum(2, 3).scaled(Fraction(1, 2))
-    for bad in ([2.7], [2.0], ["2"], [1, 0.5]):
+    for bad in ([2.7], [2.0], ["2"], [1, 0.5], [True], [2, True]):
         with pytest.raises(ValueError):
             sf.SymSeries.from_json(doc(bad))
     with pytest.raises(ValueError):
@@ -461,8 +461,9 @@ def test_from_json_refuses_non_integer_partitions():
     twice["terms"] *= 2
     with pytest.raises(ValueError):
         sf.SymSeries.from_json(twice)
-    with pytest.raises(TypeError):
-        sf.SymSeries.from_json({**doc([2]), "max_degree": 3.5})
+    for bad in (3.5, True):
+        with pytest.raises(TypeError):
+            sf.SymSeries.from_json({**doc([2]), "max_degree": bad})
 
 
 def _outcome(fn, *args):
